@@ -11,7 +11,7 @@ latencies and energies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class DramChannel:
         self.config = config
         #: per-unit latency multiplier while vault faults are active.
         self._latency_scale: Optional[np.ndarray] = None
+        #: per-unit access latency (ns) while vault faults are active,
+        #: as a list for the batched access kernel; None when healthy.
+        self.unit_latencies: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     # timing
@@ -98,12 +101,16 @@ class DramChannel:
         if scale is not None and np.all(scale == 1.0):
             scale = None
         self._latency_scale = scale
+        base = self.config.access_latency_ns
+        self.unit_latencies = (
+            None if scale is None else [base * s for s in scale.tolist()]
+        )
 
     def access_latency_at(self, unit: int) -> float:
         """Latency of one random access served by ``unit``'s channel."""
-        if self._latency_scale is None:
+        if self.unit_latencies is None:
             return self.config.access_latency_ns
-        return self.config.access_latency_ns * float(self._latency_scale[unit])
+        return self.unit_latencies[unit]
 
     @property
     def row_hit_latency_ns(self) -> float:

@@ -215,6 +215,11 @@ class Interconnect:
         self._fast_arrays: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = None
+        # Transposed one-way/hops lists under link faults (see
+        # fast_reverse_tables()); invalidated alongside _fast_tables.
+        self._fast_reverse: Optional[
+            Tuple[List[List[float]], List[List[int]]]
+        ] = None
         #: bumped on every link-fault set/clear so engines holding
         #: derived per-line memos know to drop them.
         self.fault_epoch: int = 0
@@ -283,6 +288,7 @@ class Interconnect:
         self._fault_routes.clear()
         self._fast_tables = None
         self._fast_arrays = None
+        self._fast_reverse = None
         self.fault_epoch += 1
         self._rebuild_cost_in_place()
         if self.link_meter is not None:
@@ -297,6 +303,7 @@ class Interconnect:
         self._fault_routes.clear()
         self._fast_tables = None
         self._fast_arrays = None
+        self._fast_reverse = None
         self.fault_epoch += 1
         self._rebuild_cost_in_place()
         if self.link_meter is not None:
@@ -501,6 +508,22 @@ class Interconnect:
         self._fast_tables = (ow.tolist(), cls.tolist(), eff.tolist())
         self._fast_arrays = (ow, cls, eff)
         return self._fast_tables
+
+    def fast_reverse_tables(
+        self,
+    ) -> Tuple[List[List[float]], List[List[int]]]:
+        """The ``(one_way_ns, hops)`` of :meth:`fast_tables` transposed:
+        row ``u`` holds the values of messages travelling *to* ``u``.
+
+        The healthy mesh is symmetric; rerouted paths need not be: a
+        detour's float sum is accumulated from its source, and routes
+        of equal latency may differ in hop count.  Cached until the
+        next link-fault transition.
+        """
+        if self._fast_reverse is None:
+            ow, _, hops = self.fast_arrays()
+            self._fast_reverse = (ow.T.tolist(), hops.T.tolist())
+        return self._fast_reverse
 
     def fast_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The :meth:`fast_tables` data as (N, N) ndarrays.

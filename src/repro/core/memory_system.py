@@ -81,8 +81,11 @@ class MemorySystem:
         self.dram_stats = DramStats()
         self.sram_stats = SramStats()
         # Fault state, attached by the FaultController when active.
-        self._alive: Optional[np.ndarray] = None
+        self._alive: Optional[List[bool]] = None
         self._resilience = None  # faults.ResilienceStats, duck-typed
+        # The fused kernel's per-unit DRAM latencies on healthy vaults
+        # (DramChannel.unit_latencies is None until a vault slows).
+        self._healthy_latencies = [dram.access_latency_ns] * config.num_units
         # Per-unit DRAM channel service clock (absolute ns).  A plain
         # Python list: the clock is read/written once per DRAM event in
         # tight loops, where list indexing beats ndarray item access.
@@ -172,7 +175,9 @@ class MemorySystem:
         needs an ``unreachable_accesses`` attribute (duck-typed so the
         arch layer stays ignorant of the faults package).
         """
-        self._alive = alive_mask
+        # A list snapshot for the per-line checks: the controller
+        # mutates its mask only right before calling here again.
+        self._alive = None if alive_mask is None else alive_mask.tolist()
         self._resilience = stats
 
     def invalidate_units(self, units: Sequence[int]) -> int:
@@ -273,22 +278,14 @@ class MemorySystem:
         service clocks, and all float additions) runs in the exact
         per-line order of the scalar path, so results are bit-identical.
 
-        Situations the fused kernel does not model (an attached
-        resilience/fault state, link faults, a per-link telemetry meter,
-        vault latency scaling) fall back to the scalar loop — which is
-        also the whole story when ``MemoryConfig.access_engine`` is
-        ``"scalar"``.
+        The kernel models the fault and instrumentation state the scalar
+        path does: unreachable homes (dead unit or partitioned mesh),
+        camp detours cut by link faults, per-vault latency scaling, and
+        the per-link telemetry meter (fed in the scalar message order).
+        Only ``MemoryConfig.access_engine == "scalar"`` takes the
+        per-line :meth:`access` loop.
         """
-        noc = self.interconnect
-        if (
-            self._engine not in ("batched", "vector")
-            or self._resilience is not None
-            or noc.link_meter is not None
-            or noc.has_link_faults
-            or self.dram._latency_scale is not None
-            or (self.camp_mapper is not None
-                and self.camp_mapper._alive is not None)
-        ):
+        if self._engine == "scalar":
             total = 0.0
             for i, line in enumerate(lines):
                 spread = min(i * spacing_ns, cap_ns)
@@ -298,13 +295,20 @@ class MemorySystem:
             requester, lines, now_ns, spacing_ns, cap_ns
         )
 
-    def _prime_line_memo(self, line_list: List[int]) -> None:
+    def _prime_line_memo(self, line_list: List[int],
+                         lazy_camps: bool = False) -> None:
         """Ensure every line's (home, nearest, is-home) memo entry exists.
 
         Memo validity is tied to the camp-mapping epoch and the link-
         fault epoch; both are checked by the caller.  Camp tables are
         filled array-at-a-time via :meth:`CampMapper.prime_lines` and
         then flattened to Python lists for the sequential kernel.
+
+        With ``lazy_camps`` (under active faults) the camp rows are left
+        ``None`` for the kernel to fill when an access reaches the camp
+        flow: the scalar path resolves no camps for an access whose home
+        is unreachable, and this keeps the camp mapper's memo (a
+        telemetry gauge) on the same lines under both engines.
         """
         memo = self._line_memo
         missing = [ln for ln in line_list if ln not in memo]
@@ -313,17 +317,21 @@ class MemorySystem:
         homes = self.memory_map.homes_of_lines(
             np.asarray(missing, dtype=np.int64)
         ).tolist()
-        if self.style is CacheStyle.NONE:
+        if self.style is CacheStyle.NONE or lazy_camps:
             for ln, home in zip(missing, homes):
                 memo[ln] = (home, None, None)
             return
         cm = self.camp_mapper
         cm.prime_lines(missing, self._cost)
-        tables = cm._nearest_tables
-        cost = self._cost
         for ln, home in zip(missing, homes):
-            nearest, is_home, _ = tables(ln, cost)
-            memo[ln] = (home, nearest.tolist(), is_home.tolist())
+            memo[ln] = self._camp_entry(ln, home)
+
+    def _camp_entry(self, line: int, home: int) -> tuple:
+        """A line's kernel memo entry from the camp mapper's tables."""
+        nearest, is_home, _ = self.camp_mapper._nearest_tables(
+            line, self._cost
+        )
+        return (home, nearest.tolist(), is_home.tolist())
 
     def _access_many_batched(
         self,
@@ -347,7 +355,14 @@ class MemorySystem:
         if epoch != self._memo_epoch:
             self._line_memo.clear()
             self._memo_epoch = epoch
-        self._prime_line_memo(line_list)
+        # Fault and meter state, read once per batch: a healthy,
+        # unmetered batch pays only tests of these locals.
+        faulted = self._resilience is not None
+        link_faults = noc.has_link_faults
+        # Only active faults make homes unreachable (and a memo holding
+        # lazy entries is never donated to a warm-runtime memo).
+        self._prime_line_memo(line_list, lazy_camps=faulted and (
+            link_faults or self._alive is not None))
 
         ustate = self._unit_state[requester]
         if ustate is None:
@@ -360,13 +375,30 @@ class MemorySystem:
         )
         hit_ns = self.sram.l1_hit_ns
         tag_ns = self.sram.tag_lookup_ns
-        access_lat = self.dram.access_latency_ns  # vault scaling gated off
+        lat_at = self.dram.unit_latencies
+        if lat_at is None:
+            lat_at = self._healthy_latencies
         service = self._service_ns
         free = self._dram_free_ns
         ow, cls, hops = noc.fast_tables()
         ow_req = ow[requester]
         cls_req = cls[requester]
         hops_req = hops[requester]
+        if link_faults:
+            # Responses travel *towards* the requester, and rerouted
+            # hop counts (and float sums) may differ by direction.
+            ow_rev, hops_rev = noc.fast_reverse_tables()
+            ow_to_req = ow_rev[requester]
+            hops_to_req = hops_rev[requester]
+        else:
+            ow_to_req = ow_req
+            hops_to_req = hops_req
+        if faulted:
+            alive = self._alive
+            penalty = self._unreachable_penalty_ns()
+        meter = noc.link_meter
+        if meter is not None:
+            record = meter.record
         caches = self.caches
         memo = self._line_memo
         line_bits = self.config.memory.line_bits
@@ -387,6 +419,7 @@ class MemorySystem:
         tag_acc = data_acc = 0
         reads = fills = cache_reads = tag_dram = 0
         msgs = local = intra = intra_bits = inter_hops = inter_bits = 0
+        lost = 0
         tqd = self.total_queue_delay_ns
 
         stall = 0.0
@@ -415,17 +448,41 @@ class MemorySystem:
                 stall += hit_ns
                 continue
             home, near_row, ishome_row = memo[line]
-            if no_cache or ishome_row[requester]:
+            if faulted:
+                if hops_req[home] < 0 or (
+                        alive is not None and not alive[home]):
+                    # The home is dead or partitioned away: the access
+                    # times out; nothing moves, nothing is cached.
+                    lost += 1
+                    stall += penalty
+                    continue
+                if near_row is None and not no_cache:
+                    # First camp-flow access to the line this epoch.
+                    home, near_row, ishome_row = memo[line] = (
+                        self._camp_entry(line, home)
+                    )
+            if no_cache or ishome_row[requester] or (
+                link_faults and (
+                    hops_req[near_row[requester]] < 0
+                    or hops[near_row[requester]][home] < 0
+                )
+            ):
+                # Nearest location is the home, or link faults cut the
+                # camp detour: the baseline round trip to the home.
                 if not no_cache:
                     caches[near_row[requester]].stats.home_direct += 1
                 # _direct_home_access: request + response transfers, one
                 # DRAM read at the home, round trip + queue + access.
                 msgs += 2
+                if meter is not None:
+                    record(requester, home, _REQUEST_BITS)
+                    record(home, requester, line_bits)
                 c = cls_req[home]
                 if c == 2:
                     h = hops_req[home]
-                    inter_hops += 2 * h
-                    inter_bits += rt_bits * h
+                    h_back = hops_to_req[home]
+                    inter_hops += h + h_back
+                    inter_bits += _REQUEST_BITS * h + line_bits * h_back
                     intra += 4
                     intra_bits += 2 * rt_bits
                 elif c == 1:
@@ -444,11 +501,10 @@ class MemorySystem:
                     free_at if free_at > arrival else arrival
                 ) + service
                 tqd += delay
-                lat = 2.0 * owv + delay + access_lat
+                lat = 2.0 * owv + delay + lat_at[home]
             else:
                 nearest = near_row[requester]
                 cache = caches[nearest]
-                ow_rn = ow_req[nearest]
                 c_rn = cls_req[nearest]   # symmetric: == cls[nearest][req]
                 h_rn = hops_req[nearest]
                 # request travels requester -> nearest (tag probe)
@@ -463,7 +519,7 @@ class MemorySystem:
                     intra_bits += _REQUEST_BITS
                 else:
                     local += 1
-                lat = ow_rn
+                lat = ow_req[nearest]
                 if dram_tag:
                     n = cache.tag_probe_dram_accesses()
                     tag_dram += n
@@ -480,7 +536,7 @@ class MemorySystem:
                         ) + service
                         tqd += delay
                         probe += delay
-                        probe += access_lat
+                        probe += lat_at[nearest]
                     lat += probe
                 else:
                     tag_acc += 1
@@ -514,12 +570,13 @@ class MemorySystem:
                             free_at if free_at > arrival else arrival
                         ) + service
                         tqd += delay
-                        lat += delay + access_lat
+                        lat += delay + lat_at[nearest]
                     # response nearest -> requester (one cacheline)
                     msgs += 1
                     if c_rn == 2:
-                        inter_hops += h_rn
-                        inter_bits += line_bits * h_rn
+                        h = hops_to_req[nearest]
+                        inter_hops += h
+                        inter_bits += line_bits * h
                         intra += 2
                         intra_bits += 2 * line_bits
                     elif c_rn == 1:
@@ -527,7 +584,10 @@ class MemorySystem:
                         intra_bits += line_bits
                     else:
                         local += 1
-                    lat += ow_rn
+                    lat += ow_to_req[nearest]
+                    if meter is not None:
+                        record(requester, nearest, _REQUEST_BITS)
+                        record(nearest, requester, line_bits)
                 else:
                     # miss: continue nearest -> home, read, return home
                     # -> requester; maybe install at the probed camp.
@@ -558,11 +618,11 @@ class MemorySystem:
                     ) + service
                     tqd += delay
                     lat += delay
-                    lat += access_lat
+                    lat += lat_at[home]
                     msgs += 1
                     c = cls_req[home]  # home -> requester, symmetric
                     if c == 2:
-                        h = hops_req[home]
+                        h = hops_to_req[home]
                         inter_hops += h
                         inter_bits += line_bits * h
                         intra += 2
@@ -572,7 +632,7 @@ class MemorySystem:
                         intra_bits += line_bits
                     else:
                         local += 1
-                    lat += ow_req[home]
+                    lat += ow_to_req[home]
                     # Inlined sparse install: the bypass draw comes
                     # first (as in insert()), then empty-way / random
                     # victim selection with the same RNG calls.
@@ -608,8 +668,9 @@ class MemorySystem:
                         # buffered (non-critical), so no clock advance.
                         msgs += 1
                         if c_nh == 2:
-                            inter_hops += h_nh
-                            inter_bits += line_bits * h_nh
+                            h = hops[home][nearest]
+                            inter_hops += h
+                            inter_bits += line_bits * h
                             intra += 2
                             intra_bits += 2 * line_bits
                         elif c_nh == 1:
@@ -621,6 +682,13 @@ class MemorySystem:
                             data_acc += 1
                         else:
                             fills += 1
+                    if meter is not None:
+                        # The miss flow's messages, in the scalar order.
+                        record(requester, nearest, _REQUEST_BITS)
+                        record(nearest, home, _REQUEST_BITS)
+                        record(home, requester, line_bits)
+                        if installed:
+                            record(home, nearest, line_bits)
             # prefetch.insert: the line just missed the FIFO and nothing
             # above touched it, so the membership re-check is settled.
             if len(pf_fifo) >= pf_cap:
@@ -640,7 +708,10 @@ class MemorySystem:
         l1_stats.misses += l1_acc - l1_hits
         pf_stats.buffer_hits += pf_hits
         pf_stats.evictions += pf_evicts
-        pf_stats.issued += pf_acc - pf_hits
+        # Lost (unreachable) lines miss the FIFO but are never issued.
+        pf_stats.issued += pf_acc - pf_hits - lost
+        if lost:
+            self._resilience.unreachable_accesses += lost
         self.sram_stats.add_bulk(
             l1_accesses=l1_acc,
             prefetch_accesses=pf_acc,
@@ -782,42 +853,39 @@ class MemorySystem:
         """
         home = self.memory_map.home_of_line(line)
         noc = self.interconnect
-        if (
-            self._engine in ("batched", "vector")
-            and self._resilience is None
-            and noc.link_meter is None
-            and not noc.has_link_faults
-        ):
-            # Fast path: record_transfer unrolled against the cached
-            # class/hops tables (same counters, same values), and the
-            # buffered write's _dram_service(critical=False) — a no-op
-            # returning 0.0 — elided.
-            _, cls, hops = noc.fast_tables()
-            t = self.traffic
-            t.messages += 1
-            c = cls[requester][home]
-            if c == 2:
-                bits = self.config.memory.line_bits
-                h = hops[requester][home]
-                t.inter_hops += h
-                t.inter_bits += bits * h
-                t.intra_transfers += 2
-                t.intra_bits += 2 * bits
-            elif c == 1:
-                t.intra_transfers += 1
-                t.intra_bits += self.config.memory.line_bits
-            else:
-                t.local_accesses += 1
-            self.dram_stats.writes += 1
-            return 0.0
         if self._resilience is not None and self._unreachable(requester, home):
             # Lost store: the home cannot be written right now.  The
             # write buffer absorbs it, so the task does not stall.
             self._resilience.unreachable_accesses += 1
             return 0.0
-        noc.record_transfer(self.traffic, requester, home)
+        if self._engine == "scalar":
+            noc.record_transfer(self.traffic, requester, home)
+            self.dram_stats.writes += 1
+            self._dram_service(home, now_ns, critical=False)
+            return 0.0
+        # Fast path: record_transfer unrolled against the cached,
+        # fault-aware class/hops tables (same counters, same values),
+        # and the buffered write's _dram_service(critical=False) — a
+        # no-op returning 0.0 — elided.
+        _, cls, hops = noc.fast_tables()
+        bits = self.config.memory.line_bits
+        if noc.link_meter is not None:
+            noc.link_meter.record(requester, home, bits)
+        t = self.traffic
+        t.messages += 1
+        c = cls[requester][home]
+        if c == 2:
+            h = hops[requester][home]
+            t.inter_hops += h
+            t.inter_bits += bits * h
+            t.intra_transfers += 2
+            t.intra_bits += 2 * bits
+        elif c == 1:
+            t.intra_transfers += 1
+            t.intra_bits += bits
+        else:
+            t.local_accesses += 1
         self.dram_stats.writes += 1
-        self._dram_service(home, now_ns, critical=False)
         return 0.0
 
     # ------------------------------------------------------------------

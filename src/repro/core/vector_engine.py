@@ -195,8 +195,8 @@ class VectorPhaseEngine:
 
     def available(self) -> bool:
         """Per-phase check: no fault or instrumentation state attached
-        that the columnar kernel does not model (same conditions that
-        drop ``access_many`` to its scalar fallback)."""
+        that the columnar kernel does not model.  Other phases run per
+        task through ``access_many``'s fused kernel, which does."""
         ms = self.ms
         noc = ms.interconnect
         return (
