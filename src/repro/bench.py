@@ -148,10 +148,12 @@ def bench_warm_sweep(
     config: Optional[SystemConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Time one uncached sweep three ways: legacy cold fork-per-point,
-    a fresh :class:`~repro.sweep.runtime.WorkerRuntime` (first pass —
-    memos filling), and the same runtime again (steady state — memos
-    hot).
+    """Time one uncached sweep three ways: a serial loop of plain
+    :func:`~repro.simulate.simulate` calls with no memos (the cold
+    reference, recorded as ``cold_fork_s`` so older records stay
+    comparable), a fresh :class:`~repro.sweep.runtime.WorkerRuntime`
+    (first pass — memos filling), and the same runtime again (steady
+    state — memos hot).
 
     Unlike :func:`bench_points` the workloads are *not* pre-shared:
     amortizing workload generation and derived-table construction
@@ -160,6 +162,7 @@ def bench_warm_sweep(
     bit-for-bit (``identical``) — a disagreement means the memo layer
     broke determinism and the record should never be committed.
     """
+    from repro.simulate import simulate
     from repro.sweep.runner import SweepPoint, SweepRunner
     from repro.sweep.runtime import WorkerRuntime
     from repro.sweep.serialize import result_to_dict
@@ -171,25 +174,28 @@ def bench_warm_sweep(
         for d in designs
     ]
 
-    def one_pass(runtime, label: str):
+    def one_pass(rt, label: str):
         t0 = time.perf_counter()
-        report = SweepRunner(cache=False, jobs=1,
-                             runtime=runtime).run(points)
+        if rt is None:
+            # the cold reference: serial, outside any warm scope
+            results = [simulate(p.design, p.materialize(),
+                                p.resolved_config()) for p in points]
+        else:
+            report = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
+            if report.failures:
+                raise RuntimeError(
+                    f"warm-sweep bench pass {label!r} failed: "
+                    f"{report.failures[0].error}")
+            results = [o.result for o in report.outcomes]
         dt = time.perf_counter() - t0
-        if report.failures:
-            raise RuntimeError(
-                f"warm-sweep bench pass {label!r} failed: "
-                f"{report.failures[0].error}")
-        blobs = [
-            json.dumps(result_to_dict(o.result), sort_keys=True)
-            for o in report.outcomes
-        ]
+        blobs = [json.dumps(result_to_dict(r), sort_keys=True)
+                 for r in results]
         if progress:
             progress(f"warm-sweep {label:22} {dt:7.2f}s "
                      f"({len(points)} points)")
         return dt, blobs
 
-    cold_s, cold_blobs = one_pass(False, "cold fork-per-point")
+    cold_s, cold_blobs = one_pass(None, "cold serial, no memos")
     with WorkerRuntime(jobs=1) as rt:
         first_s, first_blobs = one_pass(rt, "warm runtime pass 1")
         steady_s, steady_blobs = one_pass(rt, "warm runtime pass 2")
@@ -263,13 +269,3 @@ def write_bench(payload: Dict, path: Path) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def load_bench(path: Path) -> Dict:
-    return json.loads(path.read_text())
-
-
-def speedup_between(baseline: Dict, candidate: Dict) -> float:
-    """Total-wall-seconds ratio baseline/candidate of two records
-    (>1 means the candidate is faster)."""
-    cand = candidate["totals"]["wall_s"]
-    return baseline["totals"]["wall_s"] / cand if cand else float("inf")

@@ -209,17 +209,18 @@ def run_campaign(
     expansion: Expansion,
     cache: Any = "default",
     jobs: Optional[int] = None,
-    progress=None,
     events=None,
     runtime: Any = None,
     trace_id: str = "",
 ) -> CampaignReport:
     """Run an expanded campaign locally via :class:`SweepRunner`.
 
+    ``events`` takes the runner's typed
+    :class:`~repro.observatory.progress.ProgressEvent` stream.
     ``runtime`` follows the runner's semantics: ``None`` gives this
     campaign its own warm :class:`~repro.sweep.runtime.WorkerRuntime`,
     an instance shares one across campaigns (multi-campaign drivers pay
-    pool startup once), ``False`` forces the legacy cold path.
+    pool startup once).
     ``trace_id`` (optional) stamps every point and progress event for
     end-to-end correlation — annotation only, keys untouched.
     """
@@ -240,8 +241,8 @@ def run_campaign(
             label=point.label,
             fault_schedule=spec.fault_schedule(),
         ))
-    runner = SweepRunner(cache=cache, jobs=jobs, progress=progress,
-                         events=events, runtime=runtime)
+    runner = SweepRunner(cache=cache, jobs=jobs, events=events,
+                         runtime=runtime)
     sweep = runner.run(sweep_points)
     report.elapsed_s = sweep.elapsed_s
     for point, outcome in zip(expansion.points, sweep.outcomes):

@@ -824,8 +824,8 @@ def cmd_bench(args) -> int:
     )
     if args.warm:
         # warm-runtime trajectory + the first large-mesh point
-        # (docs/performance.md): cold fork-per-point vs a warm
-        # WorkerRuntime filling then steady, plus one live 8x8 run.
+        # (docs/performance.md): a cold serial simulate() pass vs a
+        # warm WorkerRuntime filling then steady, plus one live 8x8 run.
         payload["warm_runtime"] = bench_warm_sweep(
             args.engine, config=_config_from_args(args),
             progress=log.info)
@@ -918,36 +918,42 @@ def _bench_smoke() -> int:
 
 
 def _bench_smoke_warm_race(base) -> int:
-    """Race the legacy cold sweep path against the warm runtime on one
-    uncached point (best of two passes each; the warm second pass runs
-    memo-hot).  Fails on a result mismatch — the warm runtime's hard
-    bit-identity contract — or on the warm path losing the race."""
+    """Race a cold serial ``simulate()`` call (outside any warm scope:
+    no memos) against the warm runtime on one uncached point (best of
+    two passes each; the warm second pass runs memo-hot).  Fails on a
+    result mismatch — the warm runtime's hard bit-identity contract —
+    or on the warm path losing the race."""
     import time
 
     from repro.bench import engine_config
+    from repro.simulate import simulate
     from repro.sweep.runner import SweepPoint, SweepRunner
     from repro.sweep.runtime import WorkerRuntime
     from repro.sweep.serialize import result_to_dict
 
     cfg = engine_config("batched", base)
-    points = [SweepPoint(design="O", workload="pr", config=cfg,
-                         label="O/pr")]
+    point = SweepPoint(design="O", workload="pr", config=cfg, label="O/pr")
 
-    def best_of(runtime, passes: int = 2):
+    def best_of(rt, passes: int = 2):
         best, blob = float("inf"), None
         for _ in range(passes):
             t0 = time.perf_counter()
-            report = SweepRunner(cache=False, jobs=1,
-                                 runtime=runtime).run(points)
+            if rt is None:
+                # the cold reference: outside any warm scope
+                result = simulate(point.design, point.materialize(),
+                                  point.resolved_config())
+            else:
+                report = SweepRunner(cache=False, jobs=1,
+                                     runtime=rt).run([point])
+                if report.failures:
+                    raise RuntimeError(report.failures[0].error)
+                result = report.outcomes[0].result
             dt = time.perf_counter() - t0
-            if report.failures:
-                raise RuntimeError(report.failures[0].error)
             best = min(best, dt)
-            blob = _json.dumps(result_to_dict(report.outcomes[0].result),
-                               sort_keys=True)
+            blob = _json.dumps(result_to_dict(result), sort_keys=True)
         return best, blob
 
-    cold_s, cold_blob = best_of(False)
+    cold_s, cold_blob = best_of(None)
     with WorkerRuntime(jobs=1) as rt:
         warm_s, warm_blob = best_of(rt)
     identical = warm_blob == cold_blob
@@ -1310,7 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "runtime mismatch/slowdown")
     p_bench.add_argument("--warm", action="store_true",
                          help="additionally record the warm-runtime "
-                              "trajectory (cold fork vs WorkerRuntime "
+                              "trajectory (cold serial vs WorkerRuntime "
                               "filling/steady) and one 8x8 mesh point")
     add_config(p_bench)
     add_verbosity(p_bench)

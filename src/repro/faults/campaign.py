@@ -63,7 +63,6 @@ def run_fault_campaign(
     config: Optional[SystemConfig] = None,
     cache="default",
     jobs: Optional[int] = None,
-    progress=None,
     events=None,
     runtime=None,
 ) -> CampaignResult:
@@ -74,12 +73,14 @@ def run_fault_campaign(
     reference included) go through the sweep engine, so repeated
     campaigns hit the cache and a crashing point is captured, not fatal.
 
-    ``progress`` takes the legacy per-point text lines; ``events``
-    takes the typed per-point stream of
+    ``events`` takes the typed per-point stream of
     :mod:`repro.observatory.progress` (cached/done/failed, live TTY
-    status).  Every point also lands in the run-history ledger via the
-    sweep engine, so campaigns show up in ``repro diff`` / ``repro
-    regress --history`` like any other run.
+    status or plain lines).  ``runtime`` follows
+    :class:`~repro.sweep.runner.SweepRunner`: ``None`` runs in a
+    private warm :class:`~repro.sweep.runtime.WorkerRuntime`, an
+    instance is shared across calls.  Every point also lands in the
+    run-history ledger via the sweep engine, so campaigns show up in
+    ``repro diff`` / ``repro regress --history`` like any other run.
     """
     if isinstance(schedules, FaultSchedule):
         schedules = {"f0": schedules}
@@ -100,8 +101,8 @@ def run_fault_campaign(
         for label in labels
     )
 
-    runner = SweepRunner(cache=cache, jobs=jobs, progress=progress,
-                         events=events, runtime=runtime)
+    runner = SweepRunner(cache=cache, jobs=jobs, events=events,
+                         runtime=runtime)
     report = runner.run(points)
 
     healthy_outcome = report.outcomes[0]

@@ -153,23 +153,6 @@ class TaskTraceRecorder:
             out[r.timestamp] = out.get(r.timestamp, 0) + 1
         return out
 
-    def stall_share(self) -> float:
-        """Memory-stall cycles as a share of total task cycles.
-
-        Uses the executor's hide-adjusted stall; a high share means
-        the workload is remote-access bound.
-        """
-        records = self.records
-        total = sum(r.duration_cycles for r in records)
-        if total <= 0:
-            return 0.0
-        # duration = compute + visible stall; visible stall cycles are
-        # duration - compute, but compute isn't recorded — approximate
-        # via the raw stall_ns bound.
-        stall = sum(min(r.duration_cycles, r.stall_ns * 2.0)
-                    for r in records)
-        return min(1.0, stall / total)
-
     def placement_summary(self, cost_matrix: np.ndarray) -> str:
         """Human-readable placement digest."""
         records = self.records

@@ -8,28 +8,26 @@ Three layers, each usable on its own:
 * :func:`run_point` — the same, wrapped in a
   :class:`PointOutcome` that captures failures instead of raising.
 * :class:`SweepRunner` / :func:`run_matrix` — fan a list of
-  :class:`SweepPoint`\\ s out over ``multiprocessing`` workers, with
-  per-point progress lines, per-point failure capture and a single
-  retry (one crashed point never kills the sweep), and results that
-  are bit-identical to the serial path (every simulation is seeded and
-  independent).
+  :class:`SweepPoint`\\ s out over the warm worker pool of
+  :mod:`repro.sweep.runtime`, with typed per-point progress events,
+  per-point failure capture and a single retry (one crashed point
+  never kills the sweep), and results that are bit-identical to a
+  plain :func:`repro.simulate.simulate` call (every simulation is
+  seeded and independent).
 
-Workers re-materialize workloads from their factory spec when
-available (cheap, deterministic) and receive pickled instances
-otherwise; results travel back as the JSON dicts of
-:mod:`repro.sweep.serialize`, the exact representation the cache
-stores.
+Workers receive workloads through the runtime's shared-memory store
+or re-materialize them from their factory spec; results travel back
+as the JSON dicts of :mod:`repro.sweep.serialize`, the exact
+representation the cache stores.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import RunResult
 from repro.config import SystemConfig, engine_tier, experiment_config
@@ -42,15 +40,13 @@ from repro.sweep.runtime import (
     lpt_order,
     materialize_point,
 )
-from repro.sweep.serialize import result_from_dict, result_to_dict
+from repro.sweep.serialize import result_from_dict
 from repro.workloads.base import Workload, make_workload
 
-ProgressFn = Callable[[str], None]
 CacheLike = Union[ResultCache, bool, str, None]
-#: ``None`` = a private WorkerRuntime per run (warm, torn down after);
-#: ``False`` = the legacy cold fork-per-point path; a WorkerRuntime =
-#: shared across calls, never closed by the runner.
-RuntimeLike = Union[WorkerRuntime, bool, None]
+#: ``None`` = a private WorkerRuntime per run (torn down after); a
+#: WorkerRuntime = shared across calls, never closed by the runner.
+RuntimeLike = Optional[WorkerRuntime]
 
 
 def _record_history(result: RunResult, workload, config,
@@ -72,10 +68,8 @@ def _live_simulate(design: str, workload, config, telemetry=None,
     with a counting fake and workers can resolve it after a fork)."""
     from repro.simulate import simulate
 
-    if fault_schedule:
-        return simulate(design, workload, config, telemetry=telemetry,
-                        fault_schedule=fault_schedule)
-    return simulate(design, workload, config, telemetry=telemetry)
+    return simulate(design, workload, config, telemetry=telemetry,
+                    fault_schedule=fault_schedule)
 
 
 def _point_key(
@@ -142,12 +136,8 @@ def cached_simulate(
             _record_history(hit, workload, config, key,
                             time.perf_counter() - t0)
             return hit
-    if live_tel is not None or fault_schedule:
-        result = _live_simulate(design, workload, config, telemetry=live_tel,
-                                fault_schedule=fault_schedule)
-    else:
-        # positional-only call keeps older _live_simulate stubs working
-        result = _live_simulate(design, workload, config)
+    result = _live_simulate(design, workload, config, telemetry=live_tel,
+                            fault_schedule=fault_schedule)
     if key is not None and engine_tier(config.memory.access_engine) == "exact":
         store.store(key, result, meta={
             "design": design,
@@ -240,39 +230,6 @@ class SweepReport:
 
 
 # ----------------------------------------------------------------------
-# the parallel worker (module-level: must be picklable by Pool)
-# ----------------------------------------------------------------------
-def _worker(payload: Tuple) -> Tuple[int, Optional[Dict], Optional[str], float]:
-    """Simulate one point in a worker process.
-
-    Returns ``(index, result_dict, error_traceback, elapsed_s)`` —
-    exactly one of result/error is set.  Never raises: a crashing
-    point is reported, not fatal.
-    """
-    idx, design, wl_spec, config, fault_schedule = payload
-    t0 = time.time()
-    try:
-        if wl_spec[0] == "factory":
-            workload = make_workload(wl_spec[1], **wl_spec[2])
-        else:
-            workload = wl_spec[1]
-        result = _live_simulate(design, workload, config,
-                                fault_schedule=fault_schedule)
-        return idx, result_to_dict(result), None, time.time() - t0
-    except BaseException:
-        return idx, None, traceback.format_exc(), time.time() - t0
-
-
-def _worker_payload(idx: int, point: SweepPoint) -> Tuple:
-    if isinstance(point.workload, str):
-        spec = ("factory", point.workload, dict(point.workload_kwargs))
-    else:
-        spec = ("object", point.workload)
-    return (idx, point.design, spec, point.resolved_config(),
-            point.fault_schedule)
-
-
-# ----------------------------------------------------------------------
 class SweepRunner:
     """Fans a grid of sweep points out over processes, through the cache.
 
@@ -284,23 +241,22 @@ class SweepRunner:
     read); a point that fails twice is recorded in the report and the
     sweep continues.
 
-    Two progress channels, both optional and both fed from the parent
-    process: ``progress`` receives the legacy per-point text lines,
-    ``events`` receives typed
-    :class:`~repro.observatory.progress.ProgressEvent` objects
-    (begin / started / cached / done / retried / failed / end) — the
-    feed behind the live TTY status line and ``--progress-jsonl``.
-    A consumer that raises is disabled, never fatal.
+    Progress goes to ``events``, fed from the parent process with typed
+    :class:`~repro.observatory.progress.ProgressEvent` objects (begin /
+    started / cached / done / retried / failed / end) — the feed behind
+    the live TTY status line, plain per-point log lines and
+    ``--progress-jsonl``.  A consumer that raises is disabled, never
+    fatal.
 
-    ``runtime`` selects the execution context (see
-    :mod:`repro.sweep.runtime`): the default ``None`` builds a private
-    warm :class:`~repro.sweep.runtime.WorkerRuntime` for the run
-    (persistent pool, per-process memo caches, shared-memory workload
-    store, history-informed LPT dispatch — all bit-identical to cold
-    execution) and closes it afterwards; an injected runtime is shared
-    across calls and left open, so multi-sweep drivers stop paying
-    pool startup and memo warmup per sweep; ``runtime=False`` forces
-    the legacy cold fork-per-point path.
+    Execution always goes through a warm
+    :class:`~repro.sweep.runtime.WorkerRuntime` (persistent pool,
+    per-process memo caches, shared-memory workload store,
+    history-informed LPT dispatch — all bit-identical to a plain
+    :func:`repro.simulate.simulate` call).  The default
+    ``runtime=None`` builds a private one for the run and closes it
+    afterwards; an injected runtime is shared across calls and left
+    open, so multi-sweep drivers stop paying pool startup and memo
+    warmup per sweep.
     """
 
     def __init__(
@@ -308,30 +264,16 @@ class SweepRunner:
         cache: CacheLike = "default",
         jobs: Optional[int] = None,
         retries: int = 1,
-        progress: Optional[ProgressFn] = None,
         events: Optional[EventFn] = None,
         runtime: RuntimeLike = None,
     ):
         self.cache = resolve_cache(cache)
         self.jobs = jobs
         self.retries = retries
-        self.progress = progress
         self.events = events
         self.runtime = runtime
 
-    def _resolve_runtime(self) -> Tuple[Optional[WorkerRuntime], bool]:
-        """(runtime, owned) for one run — see :data:`RuntimeLike`."""
-        if self.runtime is None:
-            return WorkerRuntime(jobs=self.jobs), True
-        if self.runtime is False:
-            return None, False
-        return self.runtime, False
-
     # ------------------------------------------------------------------
-    def _say(self, msg: str) -> None:
-        if self.progress is not None:
-            self.progress(msg)
-
     def _emit(self, **kwargs) -> None:
         if self.events is None:
             return
@@ -342,16 +284,10 @@ class SweepRunner:
 
     def _run_serial_once(self, point: SweepPoint) -> RunResult:
         # materialize_point memoizes inside a warm scope and is exactly
-        # point.materialize() in a cold one.
-        if point.fault_schedule:
-            return _live_simulate(
-                point.design, materialize_point(point),
-                point.resolved_config(),
-                fault_schedule=point.fault_schedule,
-            )
-        # positional-only call keeps older _live_simulate stubs working
+        # point.materialize() outside one (pool-path retries).
         return _live_simulate(
-            point.design, materialize_point(point), point.resolved_config()
+            point.design, materialize_point(point), point.resolved_config(),
+            fault_schedule=point.fault_schedule,
         )
 
     def _retry(self, outcome: PointOutcome, done: int, total: int) -> None:
@@ -363,10 +299,6 @@ class SweepRunner:
                 outcome.source = "retry"
                 outcome.error = None
                 outcome.elapsed_s = time.time() - t0
-                self._say(
-                    f"[{done}/{total}] {outcome.point.label:16} "
-                    f"retried ok ({outcome.elapsed_s:.1f}s)"
-                )
                 self._emit(event="retried", label=outcome.point.label,
                            done=done, total=total, source="retry",
                            elapsed_s=outcome.elapsed_s)
@@ -374,10 +306,6 @@ class SweepRunner:
             except BaseException:
                 outcome.error = traceback.format_exc()
         outcome.source = "failed"
-        self._say(
-            f"[{done}/{total}] {outcome.point.label:16} "
-            f"FAILED after retry: {outcome.error.strip().splitlines()[-1]}"
-        )
         self._emit(event="failed", label=outcome.point.label, done=done,
                    total=total, source="failed", error=outcome.error or "")
 
@@ -404,7 +332,6 @@ class SweepRunner:
                 outcome.result = hit
                 outcome.source = "cache"
                 done += 1
-                self._say(f"[{done}/{total}] {point.label:16} cached")
                 self._emit(event="cached", label=point.label, index=i,
                            done=done, total=total, source="cache")
                 _record_history(hit, point.workload,
@@ -413,19 +340,19 @@ class SweepRunner:
             else:
                 pending.append(i)
 
-        # 2. simulate the misses (parallel when it pays).  A warm
-        # runtime (the default) adds per-process memo caches, the
-        # shared workload store, a persistent pool, and LPT dispatch
-        # ordering — all result-neutral; ``runtime=False`` keeps the
-        # legacy cold fork-per-point path bit for bit.
+        # 2. simulate the misses (parallel when it pays) in the warm
+        # runtime: per-process memo caches, the shared workload store,
+        # a persistent pool and LPT dispatch ordering — all
+        # result-neutral.
         jobs = self.jobs if self.jobs is not None else os.cpu_count() or 1
         jobs = max(1, min(jobs, len(pending)))
-        runtime, owns_runtime = self._resolve_runtime()
+        runtime = self.runtime
+        owns_runtime = runtime is None
+        if owns_runtime:
+            runtime = WorkerRuntime(jobs=self.jobs)
         try:
             if jobs <= 1:
-                scope = runtime.activate() if runtime is not None \
-                    else contextlib.nullcontext()
-                with scope:
+                with runtime.activate():
                     for i in pending:
                         outcome = outcomes[i]
                         self._emit(event="started", label=points[i].label,
@@ -436,10 +363,6 @@ class SweepRunner:
                             outcome.source = "run"
                             outcome.elapsed_s = time.time() - t0
                             done += 1
-                            self._say(
-                                f"[{done}/{total}] {points[i].label:16} "
-                                f"ran {outcome.elapsed_s:.1f}s"
-                            )
                             self._emit(event="done", label=points[i].label,
                                        index=i, done=done, total=total,
                                        source="run",
@@ -447,68 +370,40 @@ class SweepRunner:
                         except BaseException:
                             outcome.error = traceback.format_exc()
                             done += 1
-                            self._say(
-                                f"[{done}/{total}] {points[i].label:16} "
-                                f"crashed, retrying"
-                            )
                             self._retry(outcome, done, total)
             elif pending:
-                order = pending
-                if runtime is not None:
-                    # History-informed LPT: dispatch predicted-slowest
-                    # points first so the pool tail shrinks.  Dispatch
-                    # order only — outcomes stay input-indexed.
-                    by_lpt = lpt_order([points[i] for i in pending])
-                    order = [pending[j] for j in by_lpt]
+                # History-informed LPT: dispatch predicted-slowest
+                # points first so the pool tail shrinks.  Dispatch
+                # order only — outcomes stay input-indexed.
+                by_lpt = lpt_order([points[i] for i in pending])
+                order = [pending[j] for j in by_lpt]
                 for i in pending:
                     self._emit(event="started", label=points[i].label,
                                index=i, done=done, total=total)
                 failed: List[int] = []
-                with contextlib.ExitStack() as stack:
-                    if runtime is not None:
-                        with runtime.activate():
-                            payloads = [
-                                runtime.worker_payload(i, points[i])
-                                for i in order
-                            ]
-                        pool = runtime.pool(jobs)
-                        work = _warm_worker
+                with runtime.activate():
+                    payloads = [runtime.worker_payload(i, points[i])
+                                for i in order]
+                pool = runtime.pool(jobs)
+                for idx, rdict, err, dt in pool.imap_unordered(
+                    _warm_worker, payloads
+                ):
+                    outcome = outcomes[idx]
+                    outcome.elapsed_s = dt
+                    done += 1
+                    if rdict is not None:
+                        outcome.result = result_from_dict(rdict)
+                        outcome.source = "run"
+                        self._emit(event="done", label=points[idx].label,
+                                   index=idx, done=done, total=total,
+                                   source="run", elapsed_s=dt)
                     else:
-                        payloads = [
-                            _worker_payload(i, points[i]) for i in order
-                        ]
-                        pool = stack.enter_context(
-                            multiprocessing.Pool(processes=jobs)
-                        )
-                        work = _worker
-                    for idx, rdict, err, dt in pool.imap_unordered(
-                        work, payloads
-                    ):
-                        outcome = outcomes[idx]
-                        outcome.elapsed_s = dt
-                        done += 1
-                        if rdict is not None:
-                            outcome.result = result_from_dict(rdict)
-                            outcome.source = "run"
-                            self._say(
-                                f"[{done}/{total}] {points[idx].label:16} "
-                                f"ran {dt:.1f}s"
-                            )
-                            self._emit(event="done",
-                                       label=points[idx].label,
-                                       index=idx, done=done, total=total,
-                                       source="run", elapsed_s=dt)
-                        else:
-                            outcome.error = err
-                            failed.append(idx)
-                            self._say(
-                                f"[{done}/{total}] {points[idx].label:16} "
-                                f"crashed, will retry"
-                            )
+                        outcome.error = err
+                        failed.append(idx)
                 for idx in failed:
                     self._retry(outcomes[idx], done, total)
         finally:
-            if owns_runtime and runtime is not None:
+            if owns_runtime:
                 runtime.close()
 
         # 3. feed the cache (exact-tier runs only: vector results are
@@ -577,7 +472,6 @@ def run_matrix(
     config: Optional[SystemConfig] = None,
     cache: CacheLike = "default",
     jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
     events: Optional[EventFn] = None,
     runtime: RuntimeLike = None,
 ) -> SweepReport:
@@ -586,6 +480,6 @@ def run_matrix(
     Pass a shared :class:`~repro.sweep.runtime.WorkerRuntime` to keep
     its worker pool and memo caches warm across several matrices.
     """
-    runner = SweepRunner(cache=cache, jobs=jobs, progress=progress,
-                         events=events, runtime=runtime)
+    runner = SweepRunner(cache=cache, jobs=jobs, events=events,
+                         runtime=runtime)
     return runner.run(matrix_points(designs, workloads, config))

@@ -544,11 +544,15 @@ def materialize_point(point):
 
 def _warm_worker(payload: Tuple) -> Tuple[int, Optional[Dict],
                                           Optional[str], float]:
-    """Warm-pool sibling of :func:`repro.sweep.runner._worker`.
+    """Simulate one sweep point in a warm pool worker.
 
-    Same payload tuple, same return contract; the only differences are
-    the memoized workload resolution and that ``_live_simulate`` runs
-    inside this process's (permanently enabled) warm scope.
+    ``payload`` is :meth:`WorkerRuntime.worker_payload`'s
+    ``(index, design, workload_spec, config, fault_schedule)``; returns
+    ``(index, result_dict, error_traceback, elapsed_s)`` with exactly
+    one of result/error set.  Never raises: a crashing point is
+    reported, not fatal.  The workload resolves through the memoized
+    store and ``_live_simulate`` runs inside this process's
+    (permanently enabled) warm scope.
     """
     from repro.sweep import runner as _runner
     from repro.sweep.serialize import result_to_dict

@@ -12,7 +12,13 @@ import repro
 from repro.config import experiment_config
 from repro.faults import FaultSchedule
 from repro.observatory.history import HistoryLedger, RunRecord
-from repro.sweep import ResultCache, SweepPoint, SweepRunner
+from repro.sweep import (
+    ResultCache,
+    SweepPoint,
+    SweepRunner,
+    cached_simulate,
+    run_key,
+)
 from repro.sweep import runner as runner_mod
 from repro.sweep import runtime as runtime_mod
 from repro.sweep.runtime import (
@@ -60,6 +66,22 @@ def result_blobs(report):
         json.dumps(result_to_dict(o.result), sort_keys=True)
         for o in report.outcomes
     ]
+
+
+def reference_results(points, cache=False):
+    """Each point through plain (cached_)simulate outside any warm
+    scope: the cold reference every warm run must match byte for
+    byte."""
+    assert active_memos() is None
+    return [
+        cached_simulate(p.design, p.materialize(), p.resolved_config(),
+                        cache=cache, fault_schedule=p.fault_schedule)
+        for p in points
+    ]
+
+
+def blobs_of(results):
+    return [json.dumps(result_to_dict(r), sort_keys=True) for r in results]
 
 
 def shm_leaks():
@@ -185,6 +207,12 @@ class TestBitIdentity:
             out.append(json.dumps(payload["result"], sort_keys=True))
         return out
 
+    @staticmethod
+    def _cold_keys(points):
+        """Where the reference run stored each point's entry."""
+        return [run_key(p.design, p.materialize(), p.resolved_config())
+                for p in points]
+
     def test_serial_warm_equals_cold(self, tmp_path):
         cfg = small_cfg()
         points = kmeans_points(("B", "C", "O"), cfg) + [
@@ -193,18 +221,17 @@ class TestBitIdentity:
             for d in ("C", "O")
         ]
         cold_cache = ResultCache(tmp_path / "cold")
-        cold = SweepRunner(cache=cold_cache, jobs=1, runtime=False) \
-            .run(points)
+        cold = reference_results(points, cache=cold_cache)
         warm_cache = ResultCache(tmp_path / "warm")
         with WorkerRuntime(jobs=1) as rt:
             warm = SweepRunner(cache=warm_cache, jobs=1, runtime=rt) \
                 .run(points)
-        assert not cold.failures and not warm.failures
+        assert not warm.failures
         assert all(o.source == "run" for o in warm.outcomes)
-        assert result_blobs(cold) == result_blobs(warm)
-        keys = [o.key for o in cold.outcomes]
+        assert blobs_of(cold) == result_blobs(warm)
+        keys = [o.key for o in warm.outcomes]
         assert all(keys)
-        assert self._entry_blobs(cold_cache, keys) == \
+        assert self._entry_blobs(cold_cache, self._cold_keys(points)) == \
             self._entry_blobs(warm_cache, keys)
         # the warm pass actually exercised the memos
         assert rt.closed
@@ -212,26 +239,25 @@ class TestBitIdentity:
     def test_pool_warm_equals_cold(self, tmp_path):
         points = kmeans_points(("B", "O"))
         cold_cache = ResultCache(tmp_path / "cold")
-        cold = SweepRunner(cache=cold_cache, jobs=2, runtime=False) \
-            .run(points)
+        cold = reference_results(points, cache=cold_cache)
         warm_cache = ResultCache(tmp_path / "warm")
         with WorkerRuntime(jobs=2) as rt:
             warm = SweepRunner(cache=warm_cache, jobs=2, runtime=rt) \
                 .run(points)
-        assert not cold.failures and not warm.failures
-        assert result_blobs(cold) == result_blobs(warm)
-        keys = [o.key for o in cold.outcomes]
-        assert self._entry_blobs(cold_cache, keys) == \
+        assert not warm.failures
+        assert blobs_of(cold) == result_blobs(warm)
+        keys = [o.key for o in warm.outcomes]
+        assert self._entry_blobs(cold_cache, self._cold_keys(points)) == \
             self._entry_blobs(warm_cache, keys)
         assert not shm_leaks()
 
     def test_shared_runtime_across_runs_stays_identical(self):
         points = kmeans_points(("O",))
-        cold = SweepRunner(cache=False, jobs=1, runtime=False).run(points)
+        cold = reference_results(points)
         with WorkerRuntime(jobs=1) as rt:
             first = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
             second = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
-        assert result_blobs(cold) == result_blobs(first) == \
+        assert blobs_of(cold) == result_blobs(first) == \
             result_blobs(second)
 
 
@@ -285,10 +311,10 @@ class TestFaultInvalidation:
                        workload_kwargs=dict(self.WL_KW),
                        fault_schedule=sched),
         ]
-        cold = SweepRunner(cache=False, jobs=1, runtime=False).run(points)
+        cold = reference_results(points)
         with WorkerRuntime(jobs=1) as rt:
             warm = SweepRunner(cache=False, jobs=1, runtime=rt).run(points)
-        assert result_blobs(cold) == result_blobs(warm)
+        assert blobs_of(cold) == result_blobs(warm)
         assert warm.outcomes[1].result.resilience is not None
 
 

@@ -2,6 +2,7 @@
 and the parallel runner (repro.sweep)."""
 
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.arch.noc import TrafficMeter
 from repro.arch.sram import SramStats
 from repro.config import experiment_config
 from repro.core.cache.traveller import CacheStatsTotal
+from repro.observatory.progress import SweepProgress
 from repro.sweep import (
     ResultCache,
     SweepPoint,
@@ -128,7 +130,7 @@ class TestResultCache:
     def test_hit_skips_simulation(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(design, workload, config):
+        def counting(design, workload, config, **kwargs):
             calls.append(design)
             return fake_result(design=design)
 
@@ -145,7 +147,7 @@ class TestResultCache:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(design, workload, config):
+        def counting(design, workload, config, **kwargs):
             calls.append(design)
             return fake_result(design=design)
 
@@ -166,7 +168,7 @@ class TestResultCache:
     def test_schema_mismatch_is_invalidated(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: fake_result(design=d))
+            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
         cached_simulate("B", "kmeans", cfg, cache=cache)
@@ -181,7 +183,7 @@ class TestResultCache:
         calls = []
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: calls.append(d) or fake_result(design=d))
+            lambda d, w, c, **kw: calls.append(d) or fake_result(design=d))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
@@ -193,7 +195,7 @@ class TestResultCache:
     def test_clear_and_len(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: fake_result(design=d))
+            lambda d, w, c, **kw: fake_result(design=d))
         cache = ResultCache(root=tmp_path)
         cfg = experiment_config()
         for d in ("B", "O"):
@@ -207,7 +209,7 @@ class TestResultCache:
         calls = []
         monkeypatch.setattr(
             runner_mod, "_live_simulate",
-            lambda d, w, c: calls.append(d) or fake_result(design=d))
+            lambda d, w, c, **kw: calls.append(d) or fake_result(design=d))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
         cfg = experiment_config()
         repro.compare_designs(["B", "O"], "kmeans", cfg)
@@ -248,7 +250,7 @@ class TestSweepRunner:
         state = {"failed": False}
         real = runner_mod._live_simulate
 
-        def flaky(design, workload, config):
+        def flaky(design, workload, config, **kwargs):
             if design == "O" and not state["failed"]:
                 state["failed"] = True
                 raise RuntimeError("transient")
@@ -265,7 +267,7 @@ class TestSweepRunner:
     def test_persistent_failure_never_kills_the_sweep(self, monkeypatch):
         real = runner_mod._live_simulate
 
-        def broken(design, workload, config):
+        def broken(design, workload, config, **kwargs):
             if design == "O":
                 raise RuntimeError("always broken")
             return real(design, workload, config)
@@ -279,21 +281,13 @@ class TestSweepRunner:
         assert len(report.failures) == 1
 
     def test_progress_lines_and_summary(self, tmp_path):
-        lines = []
+        stream = io.StringIO()
         runner = SweepRunner(
             cache=ResultCache(root=tmp_path), jobs=1,
-            progress=lines.append,
+            events=SweepProgress(stream=stream, live=False),
         )
         report = runner.run(self._points(designs=("B",)))
+        lines = stream.getvalue().splitlines()
         assert any("ran" in line for line in lines)
         assert "1 points" in report.summary()
         assert "0 failed" in report.summary()
-
-
-class TestLegacySweepCallable:
-    def test_module_still_callable(self):
-        cfgs = {"2x2": experiment_config().scaled(2, 2)}
-        wl = repro.make_workload("kmeans", num_points=128, iterations=1)
-        out = repro.sweep("B", wl, cfgs)
-        assert set(out) == {"2x2"}
-        assert repro.sweep_configs("B", wl, cfgs).keys() == out.keys()

@@ -112,7 +112,8 @@ class TestSimulateApi:
             "4x4": experiment_config(),
         }
         wl = repro.make_workload("kmeans", num_points=256, iterations=1)
-        out = repro.sweep("B", wl, cfgs)
+        out = {name: repro.cached_simulate("B", wl, cfg)
+               for name, cfg in cfgs.items()}
         assert set(out) == {"2x2", "4x4"}
 
     def test_all_designs_constant(self):

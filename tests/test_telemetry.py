@@ -343,45 +343,51 @@ class TestQueueTelemetry:
 # ----------------------------------------------------------------------
 # sweep plumbing
 # ----------------------------------------------------------------------
+def per_config(design, workload, configs):
+    """One design/workload through the result cache per named config."""
+    return {name: cached_simulate(design, workload, cfg)
+            for name, cfg in configs.items()}
+
+
 class TestSweepTelemetryPlumbing:
-    def test_sweep_configs_uses_result_cache(self, monkeypatch):
+    def test_cached_simulate_per_config_uses_result_cache(self, monkeypatch):
         from repro.sweep import runner as runner_mod
-        from repro.simulate import sweep_configs
 
         calls = {"n": 0}
         real = runner_mod._live_simulate
 
-        def counting(design, workload, config, telemetry=None):
+        def counting(design, workload, config, telemetry=None,
+                     fault_schedule=None):
             calls["n"] += 1
             return real(design, workload, config, telemetry=telemetry)
 
         monkeypatch.setattr(runner_mod, "_live_simulate", counting)
         wl = repro.make_workload("kmeans", num_points=64, iterations=1)
         configs = {"base": small_config()}
-        first = sweep_configs("B", wl, configs)
+        first = per_config("B", wl, configs)
         assert calls["n"] == 1
-        second = sweep_configs("B", wl, configs)
+        second = per_config("B", wl, configs)
         assert calls["n"] == 1  # served from the on-disk cache
         assert second["base"].makespan_cycles == \
             first["base"].makespan_cycles
 
-    def test_sweep_configs_honors_no_cache(self, monkeypatch):
+    def test_cached_simulate_per_config_honors_no_cache(self, monkeypatch):
         from repro.sweep import runner as runner_mod
-        from repro.simulate import sweep_configs
 
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         calls = {"n": 0}
         real = runner_mod._live_simulate
 
-        def counting(design, workload, config, telemetry=None):
+        def counting(design, workload, config, telemetry=None,
+                     fault_schedule=None):
             calls["n"] += 1
             return real(design, workload, config, telemetry=telemetry)
 
         monkeypatch.setattr(runner_mod, "_live_simulate", counting)
         wl = repro.make_workload("kmeans", num_points=64, iterations=1)
         configs = {"base": small_config()}
-        sweep_configs("B", wl, configs)
-        sweep_configs("B", wl, configs)
+        per_config("B", wl, configs)
+        per_config("B", wl, configs)
         assert calls["n"] == 2
 
     def test_cached_simulate_writes_telemetry_sidecar(self):
