@@ -11,7 +11,11 @@ process boundaries:
    one execution);
 3. resubmit the identical spec -> answered ``cached`` with zero new
    worker executions, and the served bytes equal the on-disk entry;
-4. POST /v1/shutdown -> the server process exits cleanly (code 0).
+4. ``repro diff --server URL KEY KEY --json --fail-on-delta`` exits 0
+   with ``"identical": true`` (the diff runs on the server), and
+   ``repro regress --server URL --json`` exits 0 with a parseable
+   report;
+5. POST /v1/shutdown -> the server process exits cleanly (code 0).
 
 Exits non-zero with a diagnostic on the first violated check.
 Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
@@ -63,6 +67,18 @@ def wait_for_url(proc: subprocess.Popen) -> str:
     fail("server never announced its URL")
 
 
+def repro_cli(*argv: str) -> str:
+    """Run ``python -m repro ARGV``; its stdout, or fail on exit != 0."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=ROOT,
+        capture_output=True, text=True, timeout=120.0,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    if done.returncode != 0:
+        fail(f"`repro {' '.join(argv)}` exited {done.returncode}: "
+             f"{done.stderr.strip()}")
+    return done.stdout
+
+
 def main() -> None:
     cache_root = Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
     exec_log = str(cache_root / EXEC_LOG_NAME)
@@ -112,6 +128,18 @@ def main() -> None:
         if payload.get("key") != key:
             fail(f"served payload names key {payload.get('key')!r}")
         ok(f"served bytes identical to cache entry ({len(served)} B)")
+
+        diff = json.loads(repro_cli(
+            "diff", "--server", url, key, key, "--json",
+            "--fail-on-delta"))
+        if diff.get("identical") is not True:
+            fail(f"diff --server of a key against itself: {diff}")
+        ok("diff --server KEY KEY: identical")
+
+        report = json.loads(repro_cli("regress", "--server", url,
+                                      "--json"))
+        ok(f"regress --server: {report.get('checks')} checks, "
+           f"{report.get('regressions')} regression(s)")
 
         client.shutdown()
         proc.wait(timeout=30.0)

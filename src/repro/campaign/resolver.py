@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import json
 import os
 import re
@@ -210,6 +211,10 @@ def validate_point(data: Any) -> Dict[str, Any]:
     kwargs = data.get("workload_kwargs") or {}
     if not isinstance(kwargs, dict):
         raise SpecError("workload_kwargs must be an object")
+    try:
+        inspect.signature(WORKLOAD_FACTORIES[workload]).bind(**kwargs)
+    except TypeError as exc:
+        raise SpecError(f"workload_kwargs for {workload!r}: {exc}")
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise SpecError(f"seed must be an integer, got {seed!r}")

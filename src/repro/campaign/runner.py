@@ -3,15 +3,16 @@
 Two execution paths, one result shape:
 
 * :func:`run_campaign` — local: every expanded point becomes a
-  :class:`~repro.sweep.runner.SweepPoint` and the existing sweep
-  engine does what it always does (parent-side cache hits, process
-  fan-out, one retry, typed progress events).  Workloads with factory
-  kwargs are materialized *before* the sweep so the runner's
-  parent-side key matches :meth:`ExperimentSpec.run_key` exactly.
+  :class:`~repro.sweep.runner.SweepPoint` (workload name plus factory
+  kwargs, keyed exactly like :meth:`ExperimentSpec.run_key`) and the
+  existing sweep engine does what it always does (parent-side cache
+  hits, process fan-out, one retry, typed progress events).
 * :func:`run_campaign_via_server` — remote: the raw campaign document
   goes to ``POST /v1/campaign``, the server expands it worker-side and
-  dedupes per point by run key; completion is then long-polled point
-  by point, with the same typed events re-emitted locally.
+  dedupes per point by run key; its answer rows feed
+  :func:`~repro.service.client.await_points`, the poll loop every
+  ``--server`` grid shares, which re-emits the same typed events
+  locally.
 
 Either way the outcome is a :class:`CampaignReport`: per-point metric
 rows keyed by run key (the cross-link into the history ledger and the
@@ -236,7 +237,8 @@ def run_campaign(
         spec = point.spec
         sweep_points.append(SweepPoint(
             design=spec.design,
-            workload=spec.workload_for_key(),
+            workload=spec.workload,
+            workload_kwargs=spec.workload_kwargs,
             config=spec.resolved_config(),
             label=point.label,
             fault_schedule=spec.fault_schedule(),
@@ -268,19 +270,11 @@ def run_campaign_via_server(
     The *document* travels, not the expansion: the server expands the
     same bytes worker-side (so client and server agree on the
     fingerprint) and answers with one ``{label, key, status}`` row per
-    deduped point.  Points the server reports as already terminal are
-    collected immediately; the rest are long-polled via ``/v1/submit``
-    exactly like ``repro sweep --server``.
+    deduped point.  Those rows are each point's first answer for
+    :func:`~repro.service.client.await_points`, the poll loop
+    ``repro sweep --server`` uses too.
     """
-    from repro.observatory.progress import ProgressEvent
-    from repro.service.client import ServiceError
-
-    def emit(**kwargs):
-        if events is not None:
-            try:
-                events(ProgressEvent(trace_id=trace_id, **kwargs))
-            except Exception:
-                pass  # observability never fails the run
+    from repro.service.client import ServiceError, await_points
 
     t0 = time.time()
     answer = client.campaign(campaign.to_dict(), sets=sets)
@@ -302,43 +296,18 @@ def run_campaign_via_server(
             f"server expanded {len(rows)} points, client expected "
             f"{len(expansion.points)}")
 
-    total = len(rows)
-    emit(event="begin", total=total, jobs=int(answer.get("pool") or 1))
-    done = 0
-    for index, (point, row) in enumerate(zip(expansion.points, rows)):
-        status = row.get("status")
-        key = row.get("key")
-        if status not in ("cached", "done", "failed"):
-            emit(event="started", label=point.label, index=index,
-                 total=total)
-            final = client.submit(point.spec.to_dict(), wait=True)
-            status = final.get("status")
-            row = dict(row, **final)
-        done += 1
-        outcome = CampaignOutcome(
-            point=point, key=key,
-            source="cache" if status == "cached" else
-                   ("run" if status == "done" else "failed"),
-            error=str(row.get("error") or ""),
-            elapsed_s=float(row.get("elapsed_s") or 0.0))
-        if status in ("cached", "done"):
-            try:
-                outcome.result = client.result(key)
-            except (ServiceError, ValueError, KeyError) as exc:
-                outcome.source = "failed"
-                outcome.error = f"result fetch failed: {exc}"
-        if outcome.source == "cache":
-            emit(event="cached", label=point.label, index=index,
-                 done=done, total=total, source="cache")
-        elif outcome.source == "run":
-            emit(event="done", label=point.label, index=index,
-                 done=done, total=total, source="run",
-                 elapsed_s=outcome.elapsed_s)
-        else:
-            emit(event="failed", label=point.label, done=done,
-                 total=total, source="failed", error=outcome.error)
-        report.outcomes.append(outcome)
+    collected = await_points(
+        client,
+        [(point.label, point.spec.to_dict(), row)
+         for point, row in zip(expansion.points, rows)],
+        jobs=int(answer.get("pool") or 1), events=events,
+        trace_id=trace_id)
+    for point, got in zip(expansion.points, collected):
+        report.outcomes.append(CampaignOutcome(
+            point=point, key=got["key"],
+            source={"cached": "cache", "done": "run"}.get(
+                got["status"], "failed"),
+            result=got["result"], error=got["error"],
+            elapsed_s=got["elapsed_s"]))
     report.elapsed_s = time.time() - t0
-    emit(event="end", done=done, total=total,
-         elapsed_s=report.elapsed_s)
     return report

@@ -976,25 +976,26 @@ def cmd_diff(args) -> int:
 
     A and B are history indices (``-1`` = newest run), run-key
     prefixes, or paths to cached run JSON; see docs/observability.md.
+    With ``--server`` the server's ``/v1/diff`` resolves and compares
+    them against its own ledger and cache.
     """
-    from repro.observatory.diffing import diff_refs
+    from repro.observatory.diffing import diff_refs, render_diff
 
+    threshold = args.threshold / 100.0
     if getattr(args, "server", None):
-        from repro.service.client import (RemoteCache, RemoteLedger,
-                                          ServiceClient)
+        from repro.service.client import ServiceClient
 
-        client = ServiceClient(args.server)
-        diff = diff_refs(args.a, args.b, ledger=RemoteLedger(client),
-                         cache=RemoteCache(client),
-                         threshold=args.threshold / 100.0)
+        payload = ServiceClient(args.server).diff(args.a, args.b,
+                                                  threshold)
     else:
-        diff = diff_refs(args.a, args.b, cache=_cache_from_args(args),
-                         threshold=args.threshold / 100.0)
+        payload = diff_refs(args.a, args.b, cache=_cache_from_args(args),
+                            threshold=threshold).to_dict()
     if args.json_out:
-        print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
+        print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(diff.render(verbose=getattr(args, "verbose", 0) >= 1))
-    if args.fail_on_delta and not diff.identical:
+        print(render_diff(payload,
+                          verbose=getattr(args, "verbose", 0) >= 1))
+    if args.fail_on_delta and not payload["identical"]:
         return 1
     return 0
 
@@ -1053,15 +1054,15 @@ def cmd_regress(args) -> int:
                 f"scan the run ledger)"
             )
         reports.append(reg.scan_bench_trajectory(records, tolerance=tol))
-    if args.history or getattr(args, "server", None):
-        # --server reads the *server's* ledger (its clients' runs);
-        # it implies the history scan.
-        ledger = None
-        if getattr(args, "server", None):
-            from repro.service.client import RemoteLedger, ServiceClient
+    if getattr(args, "server", None):
+        # --server scans the *server's* ledger (its clients' runs)
+        # on the server; it implies the history scan.
+        from repro.service.client import ServiceClient
 
-            ledger = RemoteLedger(ServiceClient(args.server))
-        reports.append(reg.scan_history(ledger=ledger, tolerance=tol))
+        reports.append(reg.RegressionReport.from_dict(
+            ServiceClient(args.server).regress(tol)))
+    elif args.history:
+        reports.append(reg.scan_history(tolerance=tol))
     report = reg.merge_reports(*reports)
     if args.json_out:
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -1123,18 +1124,22 @@ def cmd_compact(args) -> int:
 def cmd_sweep(args) -> int:
     if args.parameter is None:
         return cmd_sweep_matrix(args)
+    if getattr(args, "server", None):
+        raise ValueError(
+            f"sweep {args.parameter} runs locally; only the matrix mode "
+            f"(`repro sweep` without a parameter) runs through --server")
     field, values = _SWEEPS[args.parameter]
     workload = repro.make_workload(args.workload)
     cache = _cache_from_args(args)
+    base = _config_from_args(args)
     results = []
     for v in values:
-        cfg = experiment_config()
         if args.parameter in ("alpha", "interval"):
-            cfg = cfg.with_(scheduler=dataclasses.replace(
-                cfg.scheduler, **{field: v}))
+            cfg = base.with_(scheduler=dataclasses.replace(
+                base.scheduler, **{field: v}))
         else:
-            cfg = cfg.with_(cache=dataclasses.replace(
-                cfg.cache, **{field: v}))
+            cfg = base.with_(cache=dataclasses.replace(
+                base.cache, **{field: v}))
         r = cached_simulate(args.design, workload, cfg.validate(),
                             cache=cache)
         results.append(r)

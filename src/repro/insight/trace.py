@@ -1,7 +1,8 @@
 """End-to-end trace correlation: ``trace_id`` minting + trace merging.
 
-A ``trace_id`` is minted once, at submission time (``repro campaign``
-/ ``repro run --server`` / :meth:`ServiceClient.run_specs`), and rides
+A ``trace_id`` is minted once, at submission time (``repro campaign
+run``, or the timeline of ``repro run`` / ``repro trace``; grid runs
+through :func:`repro.service.client.run_specs` carry none), and rides
 along every hand-off as *pure annotation*:
 
 ``ExperimentSpec.trace_id`` -> server ``Job`` -> worker

@@ -281,35 +281,48 @@ class RunDiff:
         }
 
     def render(self, verbose: bool = False) -> str:
-        lines = [f"run A: {self.a.describe()}",
-                 f"run B: {self.b.describe()}"]
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        shown = self.deltas if verbose else self.semantic_deltas
+        return render_diff(self.to_dict(), verbose=verbose)
+
+
+def render_diff(payload: Dict[str, Any], verbose: bool = False) -> str:
+    """The text form of a :meth:`RunDiff.to_dict` payload.
+
+    One renderer for a local diff and for the ``/v1/diff`` answer of a
+    server: every line reads a payload field, so the two print the
+    same text for the same runs.
+    """
+    deltas = [MetricDelta(name=m["name"], a=m["a"], b=m["b"],
+                          threshold=m["threshold"],
+                          semantic=m["semantic"])
+              for m in payload["metrics"]]
+    semantic = [d for d in deltas if d.semantic and d.significant]
+    lines = [f"run A: {payload['a']}", f"run B: {payload['b']}"]
+    for warning in payload["warnings"]:
+        lines.append(f"warning: {warning}")
+    lines.append(
+        f"{len(deltas)} metrics compared, "
+        f"{payload['semantic_deltas']} beyond the "
+        f"±{payload['threshold']:.2%} band"
+    )
+    lines.extend(d.render() for d in (deltas if verbose else semantic))
+    bottleneck = payload["bottleneck"]
+    if bottleneck:
+        arrow = "->" if bottleneck["changed"] else "== (unchanged)"
         lines.append(
-            f"{len(self.deltas)} metrics compared, "
-            f"{len(self.semantic_deltas)} beyond the "
-            f"±{self.threshold:.2%} band"
+            f"bottleneck class: {bottleneck['a']} {arrow}"
+            + (f" {bottleneck['b']}" if bottleneck["changed"] else "")
         )
-        lines.extend(d.render() for d in shown)
-        if self.bottleneck:
-            arrow = ("->" if self.bottleneck["changed"] else
-                     "== (unchanged)")
-            lines.append(
-                f"bottleneck class: {self.bottleneck['a']} {arrow}"
-                + (f" {self.bottleneck['b']}"
-                   if self.bottleneck["changed"] else "")
-            )
-        if self.identical:
-            lines.append("no semantic deltas: the runs are equivalent")
-        if self.wall is not None and (self.wall.a or self.wall.b):
-            rel = self.wall.rel_delta
-            rel_s = f"{rel:+.1%}" if math.isfinite(rel) else "n/a"
-            lines.append(
-                f"wall time (non-semantic): {self.wall.a:.2f}s -> "
-                f"{self.wall.b:.2f}s ({rel_s})"
-            )
-        return "\n".join(lines)
+    if payload["identical"]:
+        lines.append("no semantic deltas: the runs are equivalent")
+    wall = payload["wall"]
+    if wall is not None and (wall["a"] or wall["b"]):
+        rel = wall["rel_delta"]
+        rel_s = f"{rel:+.1%}" if rel is not None else "n/a"
+        lines.append(
+            f"wall time (non-semantic): {wall['a']:.2f}s -> "
+            f"{wall['b']:.2f}s ({rel_s})"
+        )
+    return "\n".join(lines)
 
 
 def _numeric_row(handle: RunHandle) -> Dict[str, float]:

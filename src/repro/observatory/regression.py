@@ -89,6 +89,14 @@ class Finding:
             "regression": self.regression, "message": self.message,
         }
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
+        rel = data["rel_change"]
+        return cls(metric=data["metric"], kind=data["kind"],
+                   baseline=data["baseline"], candidate=data["candidate"],
+                   rel_change=math.nan if rel is None else rel,
+                   regression=data["regression"], message=data["message"])
+
 
 @dataclass
 class RegressionReport:
@@ -114,6 +122,14 @@ class RegressionReport:
             "findings": [f.to_dict() for f in self.findings],
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RegressionReport":
+        """Rebuild a report from :meth:`to_dict` (e.g. the
+        ``/v1/regress`` answer of an experiment server)."""
+        return cls(findings=[Finding.from_dict(f)
+                             for f in data["findings"]],
+                   checks=data["checks"], notes=list(data["notes"]))
 
     def summary(self) -> str:
         if self.ok:

@@ -1,22 +1,23 @@
 """Thin client for the experiment server (stdlib ``urllib`` only).
 
-Three layers:
+Three parts:
 
 * :class:`ServiceClient` — one method per endpoint, JSON in/out, plus
   an NDJSON event iterator for ``/v1/events``;
-* :class:`RemoteLedger` / :class:`RemoteCache` — duck-typed stand-ins
-  for :class:`~repro.observatory.history.HistoryLedger` and
-  :class:`~repro.sweep.cache.ResultCache` that read through the
-  server, so the *existing* diff engine and regression detector run
-  unchanged against a remote observatory (``repro diff --server``,
-  ``repro regress --server``).  Fetched entries spool into a local
-  temp directory mirroring the cache layout, so path-based logic
-  (telemetry sidecars, staleness warnings) keeps working;
-* :func:`run_specs` — the grid thin-client: submit every spec, let the
-  server dedupe and fan out, and re-emit typed
+* :func:`await_points` — the one poll loop every ``--server`` grid
+  shares: given each point's first answer from the server, long-poll
+  the unfinished ones, fetch the results and re-emit typed
   :class:`~repro.observatory.progress.ProgressEvent`\\ s so the local
   renderers (live status line, ``--progress-jsonl``) work identically
-  in ``--server`` mode.
+  in ``--server`` mode;
+* :func:`run_specs` — the grid thin-client: submit every spec without
+  waiting (the server dedupes and fans out) and collect them through
+  :func:`await_points`.
+
+Observatory commands stay thin too: ``repro diff --server`` and
+``repro regress --server`` print what ``/v1/diff`` and ``/v1/regress``
+compute on the server, so references resolve against the server's own
+ledger and cache.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.service.spec import ExperimentSpec
@@ -173,169 +173,101 @@ class ServiceClient:
 
 
 # ----------------------------------------------------------------------
-# remote observatory adapters (duck-typed ledger / cache)
-# ----------------------------------------------------------------------
-class RemoteLedger:
-    """A read-only :class:`HistoryLedger` look-alike over the server.
-
-    Implements exactly the surface the diff engine and the regression
-    detector consume: ``records()``, ``find_key()``, ``path``.
-    """
-
-    def __init__(self, client: ServiceClient):
-        self.client = client
-        self.path = f"{client.base_url}/v1/history"
-
-    def records(self):
-        from repro.observatory.history import RunRecord
-
-        return [RunRecord.from_dict(d) for d in self.client.history()]
-
-    def find_key(self, key_prefix: str):
-        for record in reversed(self.records()):
-            if record.key and record.key.startswith(key_prefix):
-                return record
-        return None
-
-    def __len__(self) -> int:
-        return len(self.records())
-
-
-class RemoteCache:
-    """A read-only :class:`ResultCache` look-alike over the server.
-
-    Entries (and telemetry sidecars) are fetched once per key and
-    spooled under a local temp root in the cache's own on-disk layout,
-    so ``path_for`` / ``telemetry_path_for`` return real files and the
-    diff engine's sidecar handling works untouched.
-    """
-
-    def __init__(self, client: ServiceClient,
-                 spool: Optional[Path] = None):
-        import tempfile
-
-        self.client = client
-        self.root = Path(spool) if spool is not None else Path(
-            tempfile.mkdtemp(prefix="repro-remote-cache-"))
-        self._fetched: Dict[str, bool] = {}
-
-    # layout mirrors ResultCache
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def telemetry_path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.telemetry.json"
-
-    def _ensure(self, key: str) -> None:
-        if self._fetched.get(key):
-            return
-        self._fetched[key] = True
-        for telemetry, path in ((False, self.path_for(key)),
-                                (True, self.telemetry_path_for(key))):
-            try:
-                blob = self.client.result_bytes(key, telemetry=telemetry)
-            except ServiceError as exc:
-                if exc.status == 404:
-                    continue
-                raise
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(blob)
-
-    def load(self, key: str):
-        from repro.sweep.serialize import result_from_dict
-
-        self._ensure(key)
-        try:
-            payload = json.loads(self.path_for(key).read_text())
-            return result_from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def load_telemetry(self, key: str) -> Optional[Dict[str, Any]]:
-        self._ensure(key)
-        try:
-            payload = json.loads(
-                self.telemetry_path_for(key).read_text())
-            return payload if isinstance(payload, dict) else None
-        except (OSError, ValueError):
-            return None
-
-
-# ----------------------------------------------------------------------
 # grid thin-client
 # ----------------------------------------------------------------------
-def run_specs(
+_TERMINAL = ("cached", "done", "failed")
+
+
+def await_points(
     client: ServiceClient,
-    specs: Sequence[ExperimentSpec],
+    points: Sequence[Tuple[str, Any, Dict[str, Any]]],
+    jobs: int = 1,
     events=None,
-):
-    """Run a grid of specs through the server; the local sweep's
-    counterpart to :meth:`SweepRunner.run`.
+    trace_id: str = "",
+) -> List[Dict[str, Any]]:
+    """Collect a grid the server has already accepted.
 
-    Every spec is submitted without waiting (the server dedupes and
-    fans out over its own pool), then completion is long-polled spec
-    by spec.  Typed progress events are re-emitted locally so the
-    caller's renderer shows the same feed a local sweep would.
+    ``points`` holds one ``(label, spec, first_answer)`` per point:
+    ``spec`` is what ``/v1/submit`` takes, ``first_answer`` the
+    server's first word on it (a ``submit(wait=False)`` answer or a
+    ``/v1/campaign`` row).  Emits ``begin``, then ``started`` for every
+    point not yet terminal, then long-polls those point by point,
+    fetches every result and emits ``cached`` / ``done`` / ``failed``
+    and ``end`` — each event stamped with ``trace_id``.
 
-    Returns ``(outcomes, keys)`` where outcomes is a list of dicts
-    ``{spec, key, status, result, error}`` in input order.
+    Returns one ``{key, status, result, error, elapsed_s}`` dict per
+    point, in input order; ``status`` is ``cached`` / ``done`` /
+    ``failed`` (a result that cannot be fetched fails the point).
     """
     from repro.observatory.progress import ProgressEvent
 
     def emit(**kwargs):
         if events is not None:
             try:
-                events(ProgressEvent(**kwargs))
+                events(ProgressEvent(trace_id=trace_id, **kwargs))
             except Exception:
                 pass  # observability never fails the run
 
-    total = len(specs)
+    total = len(points)
+    t0 = time.time()
+    emit(event="begin", total=total, jobs=jobs)
+    for index, (label, _, answer) in enumerate(points):
+        if answer.get("status") not in _TERMINAL:
+            emit(event="started", label=label, index=index, total=total)
+
+    outcomes: List[Dict[str, Any]] = []
+    for index, (label, spec, answer) in enumerate(points):
+        if answer.get("status") not in _TERMINAL:
+            answer = dict(answer, **client.submit(spec, wait=True))
+        outcome = {"key": answer.get("key"),
+                   "status": answer.get("status"), "result": None,
+                   "error": str(answer.get("error") or ""),
+                   "elapsed_s": float(answer.get("elapsed_s") or 0.0)}
+        if outcome["status"] in ("cached", "done"):
+            try:
+                outcome["result"] = client.result(outcome["key"])
+            except (ServiceError, ValueError, KeyError) as exc:
+                outcome["status"] = "failed"
+                outcome["error"] = f"result fetch failed: {exc}"
+        else:
+            outcome["status"] = "failed"
+        done = index + 1
+        if outcome["status"] == "cached":
+            emit(event="cached", label=label, index=index,
+                 done=done, total=total, source="cache")
+        elif outcome["status"] == "done":
+            emit(event="done", label=label, index=index,
+                 done=done, total=total, source="run",
+                 elapsed_s=outcome["elapsed_s"])
+        else:
+            emit(event="failed", label=label, done=done,
+                 total=total, source="failed", error=outcome["error"])
+        outcomes.append(outcome)
+    emit(event="end", done=total, total=total,
+         elapsed_s=time.time() - t0)
+    return outcomes
+
+
+def run_specs(
+    client: ServiceClient,
+    specs: Sequence[ExperimentSpec],
+    events=None,
+) -> List[Dict[str, Any]]:
+    """Run a grid of specs through the server; the local sweep's
+    counterpart to :meth:`SweepRunner.run`.
+
+    Every spec is submitted without waiting (the server dedupes and
+    fans out over its own pool), then :func:`await_points` collects
+    them.  Returns its outcome dicts, each with its ``spec`` added.
+    """
     pool = 1
     try:
         pool = int(client.health().get("pool", 1))
     except (ServiceError, ValueError, TypeError):
         pass
-    emit(event="begin", total=total, jobs=pool)
-
-    submitted = []
-    for index, spec in enumerate(specs):
-        answer = client.submit(spec, wait=False)
-        submitted.append((index, spec, answer))
-        if answer.get("status") not in ("cached", "done", "failed"):
-            emit(event="started", label=spec.label, index=index,
-                 total=total)
-
-    outcomes: List[Dict[str, Any]] = [None] * total  # type: ignore
-    done = 0
-    t0 = time.time()
-    for index, spec, answer in submitted:
-        status = answer.get("status")
-        if status not in ("cached", "done", "failed"):
-            final = client.submit(spec, wait=True)
-            status = final.get("status")
-            answer = dict(answer, **final)
-        done += 1
-        key = answer.get("key")
-        outcome = {"spec": spec, "key": key, "status": status,
-                   "result": None, "error": answer.get("error", "")}
-        if status in ("cached", "done"):
-            try:
-                outcome["result"] = client.result(key)
-            except (ServiceError, ValueError, KeyError) as exc:
-                outcome["status"] = "failed"
-                outcome["error"] = f"result fetch failed: {exc}"
-        if outcome["status"] == "cached":
-            emit(event="cached", label=spec.label, index=index,
-                 done=done, total=total, source="cache")
-        elif outcome["status"] == "done":
-            emit(event="done", label=spec.label, index=index,
-                 done=done, total=total, source="run",
-                 elapsed_s=float(answer.get("elapsed_s") or 0.0))
-        else:
-            emit(event="failed", label=spec.label, done=done,
-                 total=total, source="failed",
-                 error=str(outcome["error"]))
-        outcomes[index] = outcome
-    emit(event="end", done=done, total=total,
-         elapsed_s=time.time() - t0)
+    first = [(spec.label, spec, client.submit(spec, wait=False))
+             for spec in specs]
+    outcomes = await_points(client, first, jobs=pool, events=events)
+    for spec, outcome in zip(specs, outcomes):
+        outcome["spec"] = spec
     return outcomes

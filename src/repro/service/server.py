@@ -207,7 +207,10 @@ class ExperimentServer:
             async with server:
                 await self._stop.wait()
         finally:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            # In-process jobs finish before the server is gone, so no
+            # job thread outlives it; pool workers are not waited for.
+            self._executor.shutdown(wait=self.workers == 0,
+                                    cancel_futures=True)
 
     def request_stop(self) -> None:
         """Ask the serve loop to exit (safe from the loop thread only;
@@ -403,8 +406,8 @@ class ExperimentServer:
         loop = asyncio.get_running_loop()
         try:
             spec = ExperimentSpec.from_dict(req.json())
-            # key/config resolution builds dataclasses and may
-            # materialize a workload factory — off the loop thread.
+            # key/config resolution builds dataclasses — off the
+            # loop thread.
             config = await loop.run_in_executor(
                 None, spec.resolved_config)
             key = await loop.run_in_executor(None, spec.run_key)
@@ -679,8 +682,8 @@ class ExperimentServer:
                          index=0, total=1)
         payload = make_payload(
             job.key, job.spec.design, job.spec.workload,
-            job.spec.workload_kwargs, job.config, job.spec.faults,
-            str(self.exec_log))
+            job.spec.workload_kwargs, job.config,
+            job.spec.fault_schedule(), str(self.exec_log))
         try:
             _, rdict, error, dt = await loop.run_in_executor(
                 self._executor, run_job, payload)

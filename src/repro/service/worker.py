@@ -2,7 +2,7 @@
 
 Runs inside the server's ``ProcessPoolExecutor`` (or, with
 ``workers=0``, a thread), so everything here must be importable at
-module level and the payload picklable.  Mirrors
+module level and the payload picklable.  The simulation itself is
 :func:`repro.sweep.runtime._warm_worker`: simulate live, ship the
 result back as the exact JSON dict the cache stores, report crashes as
 data instead of raising.
@@ -20,23 +20,23 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from typing import Any, Dict, Optional, Tuple
 
 #: execution-log filename, created inside the cache root.
 EXEC_LOG_NAME = "service_executions.log"
 
-JobPayload = Tuple[str, str, Tuple, Any, Optional[Dict[str, Any]],
-                   Optional[str]]
+JobPayload = Tuple[str, str, Tuple, Any, Any, Optional[str]]
 
 
 def make_payload(key: str, design: str, workload: str,
                  workload_kwargs: Dict[str, Any], config: Any,
-                 faults: Optional[Dict[str, Any]],
+                 fault_schedule: Any,
                  exec_log: Optional[str]) -> JobPayload:
-    """Build the picklable payload :func:`run_job` consumes."""
+    """Build the picklable payload :func:`run_job` consumes
+    (``fault_schedule`` is a :class:`~repro.faults.FaultSchedule` or
+    ``None``)."""
     return (key, design, ("factory", workload, dict(workload_kwargs)),
-            config, faults, exec_log)
+            config, fault_schedule, exec_log)
 
 
 def record_execution(exec_log: Optional[str], key: str) -> None:
@@ -69,29 +69,13 @@ def run_job(payload: JobPayload) -> Tuple[str, Optional[Dict],
                                           Optional[str], float]:
     """Simulate one spec; returns ``(key, result_dict, error, dt)``.
 
-    Exactly one of ``result_dict`` / ``error`` is set.  Never raises:
-    a crashing simulation is data the server reports, not a dead
-    worker.
+    Records the execution, then runs the point exactly as a warm sweep
+    worker does (:func:`repro.sweep.runtime._warm_worker`): exactly one
+    of ``result_dict`` / ``error`` is set, and a crashing simulation is
+    data the server reports, not a dead worker.
     """
-    key, design, wl_spec, config, faults, exec_log = payload
-    t0 = time.time()
-    try:
-        from repro.sweep.runner import _live_simulate
-        from repro.sweep.runtime import resolve_workload_spec
-        from repro.sweep.serialize import result_to_dict
+    from repro.sweep.runtime import _warm_worker
 
-        record_execution(exec_log, key)
-        # In a warm pool worker this memoizes the materialized workload
-        # per process; cold (threads / no initializer) it is exactly
-        # ``make_workload(name, **kwargs)``.
-        workload = resolve_workload_spec(wl_spec)
-        schedule = None
-        if faults is not None:
-            from repro.faults.schedule import FaultSchedule
-
-            schedule = FaultSchedule.from_dict(faults)
-        result = _live_simulate(design, workload, config,
-                                fault_schedule=schedule)
-        return key, result_to_dict(result), None, time.time() - t0
-    except BaseException:
-        return key, None, traceback.format_exc(), time.time() - t0
+    key, design, wl_spec, config, fault_schedule, exec_log = payload
+    record_execution(exec_log, key)
+    return _warm_worker((key, design, wl_spec, config, fault_schedule))

@@ -105,17 +105,19 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def workload_token(workload: Union[str, Any]) -> Dict[str, Any]:
+def workload_token(workload: Union[str, Any],
+                   kwargs: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The workload part of a run key.
 
-    A bare name keys the default factory product; an instance built by
-    :func:`~repro.workloads.base.make_workload` keys its factory spec
-    (so the instance and the equivalent name+kwargs call share cache
-    entries); any other instance is keyed structurally — its public
-    attributes, datasets and all, are hashed.
+    A name keys its factory spec, name plus ``kwargs`` (empty for the
+    default product); an instance built by
+    :func:`~repro.workloads.base.make_workload` keys the factory spec
+    it records (so the instance and the equivalent name+kwargs point
+    share cache entries); any other instance is keyed structurally —
+    its public attributes, datasets and all, are hashed.
     """
     if isinstance(workload, str):
-        return {"factory": workload, "kwargs": {}}
+        return {"factory": workload, "kwargs": canonicalize(kwargs or {})}
     spec = getattr(workload, "_factory_spec", None)
     if spec is not None:
         name, kwargs = spec
@@ -134,8 +136,12 @@ def run_key(
     workload: Union[str, Any],
     config: SystemConfig,
     extra: Optional[Dict[str, Any]] = None,
+    workload_kwargs: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The content-addressed key of one (design, workload, config) run.
+
+    ``workload_kwargs`` are the factory kwargs of a workload given by
+    name (see :func:`workload_token`).
 
     Raises :class:`UncacheableError` when the workload cannot be
     identified deterministically (e.g. it holds a non-hashable custom
@@ -145,7 +151,7 @@ def run_key(
         "schema": KEY_SCHEMA,
         "sim": SIMULATOR_VERSION,
         "design": design,
-        "workload": workload_token(workload),
+        "workload": workload_token(workload, workload_kwargs),
         "config": config.canonical_dict(),
         "extra": canonicalize(extra) if extra else None,
     }

@@ -76,6 +76,7 @@ def _point_key(
     design: str, workload, config: SystemConfig,
     cache: Optional[ResultCache],
     fault_schedule=None,
+    workload_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Optional[str]:
     """Run key for one point, or None when uncacheable.
 
@@ -87,7 +88,8 @@ def _point_key(
         return None
     extra = {"faults": fault_schedule} if fault_schedule else None
     try:
-        return run_key(design, workload, config, extra=extra)
+        return run_key(design, workload, config, extra=extra,
+                       workload_kwargs=workload_kwargs)
     except UncacheableError:
         cache.stats.uncacheable += 1
         return None
@@ -325,6 +327,7 @@ class SweepRunner:
             outcome.key = _point_key(
                 point.design, point.workload, point.resolved_config(),
                 self.cache, fault_schedule=point.fault_schedule,
+                workload_kwargs=point.workload_kwargs,
             )
             t0 = time.time()
             hit = self.cache.load(outcome.key) if outcome.key else None

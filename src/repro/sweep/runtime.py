@@ -636,11 +636,8 @@ class WorkerRuntime:
         else:
             base = ("object", point.workload)
         try:
-            if base[0] == "factory":
-                token_src: Any = {"factory": base[1], "kwargs": base[2]}
-            else:
-                token_src = workload_token(point.workload)
-            token = stable_hash(token_src)
+            token = stable_hash(workload_token(point.workload,
+                                               point.workload_kwargs))
         except UncacheableError:
             return base
         desc = self.store.descriptor(token)

@@ -231,6 +231,7 @@ class TestBitIdentity:
         assert blobs_of(cold) == result_blobs(warm)
         keys = [o.key for o in warm.outcomes]
         assert all(keys)
+        assert keys == self._cold_keys(points)
         assert self._entry_blobs(cold_cache, self._cold_keys(points)) == \
             self._entry_blobs(warm_cache, keys)
         # the warm pass actually exercised the memos
@@ -247,6 +248,7 @@ class TestBitIdentity:
         assert not warm.failures
         assert blobs_of(cold) == result_blobs(warm)
         keys = [o.key for o in warm.outcomes]
+        assert keys == self._cold_keys(points)
         assert self._entry_blobs(cold_cache, self._cold_keys(points)) == \
             self._entry_blobs(warm_cache, keys)
         assert not shm_leaks()

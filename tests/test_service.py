@@ -17,13 +17,7 @@ import repro.sweep.runner as runner_mod
 from repro.config import experiment_config
 from repro.observatory.history import HistoryLedger, RunRecord
 from repro.observatory.progress import ProgressEvent
-from repro.service.client import (
-    RemoteCache,
-    RemoteLedger,
-    ServiceClient,
-    ServiceError,
-    run_specs,
-)
+from repro.service.client import ServiceClient, ServiceError, run_specs
 from repro.service.protocol import ProtocolError, read_request
 from repro.service.server import run_in_thread
 from repro.service.spec import ExperimentSpec, SpecError
@@ -137,6 +131,8 @@ class TestSpec:
         ({"design": "B", "workload": "pr", "typo": 1}, "unknown spec key"),
         ({"design": "B", "workload": "pr", "seed": "x"}, "seed"),
         ({"design": "B", "workload": "pr", "faults": [1]}, "faults"),
+        ({"design": "B", "workload": "pr",
+          "workload_kwargs": {"nope": 1}}, "workload_kwargs"),
     ])
     def test_rejects_malformed_specs(self, payload, needle):
         with pytest.raises(SpecError, match=needle):
@@ -367,11 +363,7 @@ class TestServer:
         records = stub.client.history()
         assert [r["ts"] for r in records] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert len(stub.client.history(limit=2)) == 2
-
-        remote = RemoteLedger(stub.client)
-        assert len(remote) == 5
-        assert remote.find_key("03" * 4).ts == 3.0
-        assert remote.records()[0].design == "O"
+        assert records[0]["design"] == "O"
 
         report = stub.client.regress()
         assert "summary" in report
@@ -391,19 +383,11 @@ class TestServer:
         payload = stub.client.diff("0", "-1")
         assert payload["identical"] is False  # makespan 100 vs 80
 
-        # the local diff engine runs unchanged over the remote
-        # observatory adapters
-        from repro.observatory.diffing import diff_refs
-
-        diff = diff_refs("0", "-1", ledger=RemoteLedger(stub.client),
-                         cache=RemoteCache(stub.client))
-        assert diff.to_dict()["identical"] is False
-
-        remote_cache = RemoteCache(stub.client)
-        result = remote_cache.load(a["key"])
-        assert result is not None
+        result = stub.client.result(a["key"])
         assert result.makespan_cycles == 100.0
-        assert remote_cache.load_telemetry(a["key"]) is None  # 404 -> None
+        with pytest.raises(ServiceError) as err:  # no telemetry sidecar
+            stub.client.result_bytes(a["key"], telemetry=True)
+        assert err.value.status == 404
 
     def test_thin_client_grid_with_events(self, stub):
         specs = [ExperimentSpec(design=d, workload="pr")
@@ -469,6 +453,103 @@ class TestCliThinClient:
         assert sorted(stub.calls) == ["B", "O"]
         text = capsys.readouterr().out
         assert "speedup over B" in text
+
+    @staticmethod
+    def _observatory(stub, monkeypatch):
+        """Two served runs plus their ledger lines, with the local CLI
+        pointed at the server's own cache root and ledger."""
+        ledger = HistoryLedger(path=stub.cache_root / "history.jsonl")
+        keys = []
+        for i, spec in enumerate(({"design": "B", "workload": "pr"},
+                                  SPEC)):
+            key = stub.client.submit(spec, wait=True)["key"]
+            ledger.append(RunRecord(
+                ts=float(i), design=spec["design"], workload="pr",
+                source="serve", wall_s=1.0 + i, key=key,
+                makespan_cycles=0.0))
+            keys.append(key)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(stub.cache_root))
+        monkeypatch.setenv("REPRO_HISTORY_PATH", str(ledger.path))
+        return ledger, keys
+
+    @staticmethod
+    def _cli(capsys, *argv):
+        from repro.cli import main
+
+        rc = main(list(argv))
+        return rc, capsys.readouterr().out
+
+    def test_diff_via_server_prints_the_local_diff(self, stub, tmp_path,
+                                                   monkeypatch, capsys):
+        import tempfile
+
+        self._observatory(stub, monkeypatch)
+        url = stub.handle.base_url
+        spool = tmp_path / "tmp"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        for argv in (["0", "-1", "--json"], ["0", "-1"],
+                     ["0", "-1", "-v"], ["0", "-1", "--fail-on-delta"],
+                     ["0", "0", "--fail-on-delta"]):
+            local = self._cli(capsys, "diff", *argv)
+            remote = self._cli(capsys, "diff", "--server", url, *argv)
+            assert remote == local, argv
+        assert self._cli(capsys, "diff", "0", "-1", "--fail-on-delta")[0] \
+            == 1
+        assert self._cli(capsys, "diff", "0", "0", "--fail-on-delta")[0] \
+            == 0
+        assert list(spool.iterdir()) == []  # the client spools nothing
+
+    def test_diff_via_server_warns_about_a_stale_sidecar(
+            self, stub, monkeypatch, capsys):
+        import os
+
+        _, keys = self._observatory(stub, monkeypatch)
+        cache = ResultCache(root=stub.cache_root)
+        cache.store_telemetry(keys[0], {"version": 1, "counters": {}})
+        entry = cache.path_for(keys[0]).stat().st_mtime
+        os.utime(cache.telemetry_path_for(keys[0]),
+                 (entry - 60.0, entry - 60.0))
+        rc, out = self._cli(capsys, "diff", "--server",
+                            stub.handle.base_url, "0", "-1")
+        assert rc == 0
+        assert "is older than its cached run JSON" in out
+        assert out == self._cli(capsys, "diff", "0", "-1")[1]
+
+    def test_diff_via_server_resolves_references_on_the_server(
+            self, stub, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        self._observatory(stub, monkeypatch)
+        missing = tmp_path / "not_on_the_server.json"
+        assert main(["diff", "--server", stub.handle.base_url, "0",
+                     str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "HTTP 400" in err
+
+    def test_regress_via_server_prints_the_local_history_scan(
+            self, stub, monkeypatch, capsys):
+        from pathlib import Path
+
+        ledger, _ = self._observatory(stub, monkeypatch)
+        for i, wall in enumerate((1.0, 1.0, 1.1, 1.0, 2.0, 2.1, 2.0)):
+            ledger.append(RunRecord(
+                ts=10.0 + i, design="O", workload="pr",
+                source="simulate", wall_s=wall, key=f"{i:02x}" * 32,
+                config_fingerprint="f" * 16, engine="batched",
+                makespan_cycles=80.0))
+        bench_dir = str(Path(__file__).resolve().parents[1])
+        local = self._cli(capsys, "regress", "--history", "--dir",
+                          bench_dir, "--json")
+        remote = self._cli(capsys, "regress", "--server",
+                           stub.handle.base_url, "--dir", bench_dir,
+                           "--json")
+        assert remote == local
+        assert json.loads(local[1])["regressions"] > 0
+        assert self._cli(capsys, "regress", "--server",
+                         stub.handle.base_url, "--dir", bench_dir) \
+            == self._cli(capsys, "regress", "--history", "--dir",
+                         bench_dir)
 
     def test_unreachable_server_is_a_clean_cli_error(self, capsys):
         from repro.cli import main

@@ -26,6 +26,7 @@ from repro.sweep import (
     result_from_dict,
     result_to_dict,
     run_key,
+    run_point,
 )
 from repro.sweep import runner as runner_mod
 from repro.workloads.pagerank import PageRankWorkload
@@ -91,6 +92,23 @@ class TestRunKeys:
         assert run_key("B", "kmeans", cfg) == run_key(
             "B", repro.make_workload("kmeans"), cfg
         )
+
+    def test_run_point_keys_its_workload_kwargs(self, tmp_path,
+                                                monkeypatch):
+        """A name + kwargs point keys its kwargs: never the default
+        workload's key, always the materialized instance's key."""
+        monkeypatch.setattr(
+            runner_mod, "_live_simulate",
+            lambda design, workload, config, **kwargs:
+                fake_result(design, workload.name))
+        cfg = experiment_config().scaled(2, 2)
+        outcome = run_point("O", "kmeans", cfg,
+                            cache=ResultCache(root=tmp_path),
+                            num_points=256)
+        assert outcome.ok
+        assert outcome.key != run_key("O", "kmeans", cfg)
+        assert outcome.key == run_key(
+            "O", repro.make_workload("kmeans", num_points=256), cfg)
 
     def test_direct_instances_hash_structurally_and_stably(self):
         cfg = experiment_config()

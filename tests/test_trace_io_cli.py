@@ -212,6 +212,30 @@ class TestCli:
         assert rc == 0
         assert len(json.loads(js.read_text())) == 4
 
+    def test_sweep_parameter_mode_honours_config_flags(self, capsys,
+                                                       monkeypatch):
+        import repro.cli as cli
+        from tests.test_sweep import fake_result
+
+        seen = []
+
+        def fake(design, workload, config, cache="default"):
+            seen.append(config)
+            return fake_result(design, workload.name)
+
+        monkeypatch.setattr(cli, "cached_simulate", fake)
+        assert cli_main(["sweep", "camps", "-d", "O", "-w", "kmeans",
+                         "--mesh", "2x2", "--alpha", "3.5"]) == 0
+        assert [(c.topology.mesh_rows, c.topology.mesh_cols)
+                for c in seen] == [(2, 2)] * 4
+        assert {c.scheduler.hybrid_alpha for c in seen} == {3.5}
+        assert [c.cache.num_camps for c in seen] == [1, 3, 7, 15]
+
+    def test_sweep_parameter_mode_rejects_server(self, capsys):
+        assert cli_main(["sweep", "camps", "-w", "kmeans", "--server",
+                         "http://127.0.0.1:1"]) == 2
+        assert "only the matrix mode" in capsys.readouterr().err
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "-w", "nope"])
