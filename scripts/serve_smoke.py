@@ -17,6 +17,8 @@ process boundaries:
    report;
 5. POST /v1/shutdown -> the server process exits cleanly (code 0).
 
+The scratch cache root is removed on every exit, pass or fail.
+
 Exits non-zero with a diagnostic on the first violated check.
 Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -24,6 +26,7 @@ Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -151,6 +154,8 @@ def main() -> None:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10.0)
+        # the server has exited: nothing holds the scratch cache root
+        shutil.rmtree(cache_root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -38,9 +38,8 @@ from repro.config import (
     describe_config,
     experiment_config,
 )
-from repro.analysis.metrics import RunResult
-from repro.core.host import HostModel
-from repro.core.system import DESIGN_POINTS, DesignPoint, NdpSystem, build_system
+# Imported eagerly so ``repro.simulate`` is the function, never the
+# submodule, whichever module a caller imports first.
 from repro.simulate import (
     ALL_DESIGNS,
     ALL_WORKLOADS,
@@ -48,28 +47,53 @@ from repro.simulate import (
     compare_designs,
     simulate,
 )
-from repro.workloads.base import WORKLOAD_FACTORIES, Workload, make_workload
 
-# Fault-injection & resilience subsystem (docs/resilience.md).
-from repro.faults import (
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    ResilienceStats,
-    make_random_schedule,
-    run_fault_campaign,
-)
+# Everything else loads on first access (PEP 562), so a caller that
+# needs only the configuration or the result cache (a cached
+# ``repro run``) never imports the simulator, the workloads, the
+# fault subsystem or the sweep runtime.
+_LAZY = {
+    "RunResult": "repro.analysis.metrics",
+    "HostModel": "repro.core.host",
+    "DESIGN_POINTS": "repro.core.system",
+    "DesignPoint": "repro.core.system",
+    "NdpSystem": "repro.core.system",
+    "build_system": "repro.core.system",
+    "WORKLOAD_FACTORIES": "repro.workloads.base",
+    "Workload": "repro.workloads.base",
+    "make_workload": "repro.workloads.base",
+    # fault injection & resilience (docs/resilience.md)
+    "FaultEvent": "repro.faults",
+    "FaultKind": "repro.faults",
+    "FaultSchedule": "repro.faults",
+    "ResilienceStats": "repro.faults",
+    "make_random_schedule": "repro.faults",
+    "run_fault_campaign": "repro.faults",
+    # the sweep engine: parallel grid runs + the content-addressed
+    # result cache
+    "sweep": "repro.sweep",
+    "ResultCache": "repro.sweep.cache",
+    "SweepRunner": "repro.sweep.runner",
+    "cached_simulate": "repro.sweep.runner",
+    "run_matrix": "repro.sweep.runner",
+    "run_point": "repro.sweep.runner",
+}
 
-# The sweep engine: parallel grid runs + the content-addressed result
-# cache.
-from repro import sweep
-from repro.sweep import (
-    ResultCache,
-    SweepRunner,
-    cached_simulate,
-    run_matrix,
-    run_point,
-)
+
+def __getattr__(name):
+    if name in _LAZY:
+        import importlib
+
+        module = importlib.import_module(_LAZY[name])
+        if module.__name__ == f"{__name__}.{name}":
+            return module  # a subpackage, e.g. ``repro.sweep``
+        return getattr(module, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "1.0.0"
 

@@ -56,12 +56,19 @@ import sys
 from typing import Dict, List, Optional
 
 import repro
-from repro.analysis import export
 from repro.analysis.metrics import RunResult
-from repro.analysis.plotting import bar_chart
-from repro.analysis.stats import geomean
 from repro.config import SystemConfig, describe_config, experiment_config
-from repro.sweep import SIMULATOR_VERSION, cached_simulate, run_matrix
+from repro.sweep.runner import cached_simulate
+
+# The imports above are all a cached ``repro run`` needs; every command
+# imports the rest of what it uses (the simulator, the sweep runtime,
+# plotting, export) itself.
+
+#: every registered workload, ``sorted(WORKLOAD_FACTORIES)``: listed
+#: here so building the parser imports no workload (a test keeps the
+#: two equal).
+WORKLOAD_NAMES = ["astar", "bfs", "cc", "gcn", "kmeans", "knn", "pr",
+                  "spmv", "sssp"]
 
 
 def _config_from_args(args) -> SystemConfig:
@@ -237,12 +244,18 @@ def _stamp_trace_file(path: str, trace_id: str) -> None:
 
 
 def _export(args, results: List[RunResult]) -> None:
-    if getattr(args, "csv", None):
-        export.write_csv(args.csv, results)
-        print(f"wrote {args.csv}")
-    if getattr(args, "json", None):
-        export.write_json(args.json, results)
-        print(f"wrote {args.json}")
+    csv_path = getattr(args, "csv", None)
+    json_path = getattr(args, "json", None)
+    if not (csv_path or json_path):
+        return
+    from repro.analysis import export
+
+    if csv_path:
+        export.write_csv(csv_path, results)
+        print(f"wrote {csv_path}")
+    if json_path:
+        export.write_json(json_path, results)
+        print(f"wrote {json_path}")
 
 
 def _print_comparison(results: Dict[str, RunResult]) -> None:
@@ -362,6 +375,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.analysis.plotting import bar_chart
+
     cfg = _config_from_args(args)
     workload = repro.make_workload(args.workload)
     results = repro.compare_designs(
@@ -380,6 +395,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from repro.analysis.stats import geomean
+    from repro.sweep.runner import run_matrix
+
     cfg = _config_from_args(args)
     log = _log_from_args(args)
     if getattr(args, "server", None):
@@ -431,6 +449,8 @@ def _geomean_table(grid, designs, workloads) -> Dict[str, Dict[str, float]]:
     ratio of zero would zero the whole product) are excluded from the
     hops geomean, matching the paper's Figure 8 treatment.
     """
+    from repro.analysis.stats import geomean
+
     out = {"speedup": {}, "energy": {}, "hops": {}}
     for d in designs:
         if d == "B":
@@ -449,6 +469,10 @@ def _geomean_table(grid, designs, workloads) -> Dict[str, Dict[str, float]]:
 def cmd_sweep_matrix(args) -> int:
     """``python -m repro sweep`` with no parameter: the full design x
     workload matrix, parallel and cached, with machine-readable output."""
+    from repro.analysis import export
+    from repro.sweep.keys import SIMULATOR_VERSION
+    from repro.sweep.runner import run_matrix
+
     cfg = _config_from_args(args)
     log = _log_from_args(args)
     designs = (args.designs.split(",") if args.designs
@@ -1208,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: all cores)")
         if workload:
             p.add_argument("-w", "--workload", default="pr",
-                           choices=sorted(repro.WORKLOAD_FACTORIES))
+                           choices=WORKLOAD_NAMES)
         if design:
             p.add_argument("-d", "--design", default="O",
                            choices=list(repro.ALL_DESIGNS))
@@ -1246,7 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("design", choices=list(repro.ALL_DESIGNS))
     p_trace.add_argument("workload",
-                         choices=sorted(repro.WORKLOAD_FACTORIES))
+                         choices=WORKLOAD_NAMES)
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace_event JSON output path "
                               "(default: trace.json)")
@@ -1271,7 +1295,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_faults.add_argument("design", choices=list(repro.ALL_DESIGNS))
     p_faults.add_argument("workload",
-                          choices=sorted(repro.WORKLOAD_FACTORIES))
+                          choices=WORKLOAD_NAMES)
     p_faults.add_argument("--schedule", action="append", metavar="FILE",
                           help="fault schedule JSON (repeatable; see "
                                "FaultSchedule.dump)")

@@ -32,3 +32,7 @@ def __getattr__(name):
         module = importlib.import_module(_LAZY[name])
         return getattr(module, name)
     raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,16 +11,19 @@ paper's Table 1 configuration, optionally overridden.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from repro.analysis.metrics import RunResult
-from repro.config import SystemConfig, default_config, experiment_config
-from repro.core.system import DESIGN_POINTS, build_system
-from repro.telemetry import Telemetry
-import repro.workloads  # noqa: F401  (imports register the workload factories)
-from repro.workloads.base import Workload, make_workload
+from repro.config import SystemConfig, experiment_config
 
-WorkloadLike = Union[str, Workload]
+if TYPE_CHECKING:
+    from repro.analysis.metrics import RunResult
+    from repro.telemetry import Telemetry
+    from repro.workloads.base import Workload
+
+# The simulator (core.system, telemetry, the workload registry) loads
+# on the first call, not on import: ``import repro`` imports this
+# module, and a cached answer never builds a machine.
+WorkloadLike = Union[str, "Workload"]
 
 #: the designs of Table 2 in presentation order (H is analytic).
 ALL_DESIGNS = ("B", "Sm", "Sl", "Sh", "C", "O")
@@ -33,6 +36,8 @@ DETAIL_WORKLOADS = ("pr", "bfs", "gcn", "knn", "spmv")
 
 
 def _resolve_workload(workload: WorkloadLike, **kwargs) -> Workload:
+    from repro.workloads.base import Workload, make_workload
+
     if isinstance(workload, Workload):
         return workload
     return make_workload(workload, **kwargs)
@@ -67,6 +72,8 @@ def simulate(
     under injected failures; the result then carries ``resilience``
     counters.
     """
+    from repro.core.system import _sweep_memos, build_system
+
     wl = _resolve_workload(workload, **workload_kwargs)
     if config is None:
         config = experiment_config()
@@ -80,8 +87,6 @@ def simulate(
     # camp home/nearest tables) feed the process memos for later
     # points.  A cold process skips this entirely, and fault-touched
     # state is never donated.
-    from repro.core.system import _sweep_memos
-
     memos = _sweep_memos()
     if memos is not None:
         memos.harvest(system)

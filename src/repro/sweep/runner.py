@@ -27,26 +27,25 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import RunResult
 from repro.config import SystemConfig, engine_tier, experiment_config
-from repro.observatory.progress import EventFn, ProgressEvent
 from repro.sweep.cache import ResultCache, resolve_cache
 from repro.sweep.keys import UncacheableError, run_key
-from repro.sweep.runtime import (
-    WorkerRuntime,
-    _warm_worker,
-    lpt_order,
-    materialize_point,
-)
 from repro.sweep.serialize import result_from_dict
-from repro.workloads.base import Workload, make_workload
+
+# The warm runtime (multiprocessing), the workload registry and the
+# progress events load only when used: a cache hit needs none of them.
+if TYPE_CHECKING:
+    from repro.observatory.progress import EventFn
+    from repro.sweep.runtime import WorkerRuntime
+    from repro.workloads.base import Workload
 
 CacheLike = Union[ResultCache, bool, str, None]
 #: ``None`` = a private WorkerRuntime per run (torn down after); a
 #: WorkerRuntime = shared across calls, never closed by the runner.
-RuntimeLike = Optional[WorkerRuntime]
+RuntimeLike = Optional["WorkerRuntime"]
 
 
 def _record_history(result: RunResult, workload, config,
@@ -124,13 +123,14 @@ def cached_simulate(
     """
     if config is None:
         config = experiment_config()
-    if workload_kwargs and isinstance(workload, str):
-        workload = make_workload(workload, **workload_kwargs)
     live_tel = telemetry if telemetry is not None and telemetry.enabled \
         else None
     store = resolve_cache(cache)
+    # A name plus kwargs is keyed as given: the dataset is built only
+    # on a miss.
     key = _point_key(design, workload, config, store,
-                     fault_schedule=fault_schedule)
+                     fault_schedule=fault_schedule,
+                     workload_kwargs=workload_kwargs)
     if key is not None and live_tel is None:
         t0 = time.perf_counter()
         hit = store.load(key)
@@ -138,6 +138,10 @@ def cached_simulate(
             _record_history(hit, workload, config, key,
                             time.perf_counter() - t0)
             return hit
+    if workload_kwargs and isinstance(workload, str):
+        from repro.workloads.base import make_workload
+
+        workload = make_workload(workload, **workload_kwargs)
     result = _live_simulate(design, workload, config, telemetry=live_tel,
                             fault_schedule=fault_schedule)
     if key is not None and engine_tier(config.memory.access_engine) == "exact":
@@ -178,6 +182,8 @@ class SweepPoint:
 
     def materialize(self) -> Workload:
         if isinstance(self.workload, str):
+            from repro.workloads.base import make_workload
+
             return make_workload(self.workload, **self.workload_kwargs)
         return self.workload
 
@@ -279,12 +285,16 @@ class SweepRunner:
     def _emit(self, **kwargs) -> None:
         if self.events is None:
             return
+        from repro.observatory.progress import ProgressEvent
+
         try:
             self.events(ProgressEvent(**kwargs))
         except Exception:
             self.events = None  # a broken consumer never fails the sweep
 
     def _run_serial_once(self, point: SweepPoint) -> RunResult:
+        from repro.sweep.runtime import materialize_point
+
         # materialize_point memoizes inside a warm scope and is exactly
         # point.materialize() outside one (pool-path retries).
         return _live_simulate(
@@ -313,6 +323,8 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def run(self, points: Sequence[SweepPoint]) -> SweepReport:
+        from repro.sweep.runtime import WorkerRuntime, _warm_worker, lpt_order
+
         t_start = time.time()
         points = list(points)
         total = len(points)

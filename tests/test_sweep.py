@@ -161,6 +161,41 @@ class TestResultCache:
         assert cache.stats.hits == 1 and cache.stats.stores == 1
         assert result_to_dict(r1) == result_to_dict(r2)
 
+    def test_named_workload_kwargs_keyed_before_building(
+            self, tmp_path, monkeypatch):
+        """A name + kwargs is keyed as given: a hit calls no workload
+        factory, and only a miss builds the dataset — under the key of
+        the equivalent make_workload instance."""
+        from repro.workloads.base import WORKLOAD_FACTORIES
+
+        cfg = experiment_config().scaled(2, 2)
+        hit_key = run_key(
+            "B", repro.make_workload("kmeans", num_points=256), cfg)
+        miss_key = run_key(
+            "B", repro.make_workload("kmeans", num_points=128), cfg)
+        cache = ResultCache(root=tmp_path)
+        cache.store(hit_key, fake_result("B", "kmeans"))
+        factory = WORKLOAD_FACTORIES["kmeans"]
+        built = []
+
+        def counting_factory(**kwargs):
+            built.append(kwargs)
+            return factory(**kwargs)
+
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "kmeans", counting_factory)
+        monkeypatch.setattr(
+            runner_mod, "_live_simulate",
+            lambda design, workload, config, **kwargs:
+                fake_result(design, workload.name))
+        hit = cached_simulate("B", "kmeans", cfg, cache=cache,
+                              num_points=256)
+        assert built == []
+        assert cache.stats.hits == 1
+        assert result_to_dict(hit) == result_to_dict(fake_result())
+        cached_simulate("B", "kmeans", cfg, cache=cache, num_points=128)
+        assert built == [{"num_points": 128}]
+        assert cache.path_for(miss_key).exists()
+
     def test_corrupted_entry_falls_back_to_live_run(
             self, tmp_path, monkeypatch):
         calls = []
